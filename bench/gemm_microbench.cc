@@ -3,11 +3,14 @@
 // LayerNorm, softmax, cross-entropy, bias ops, the Adam step and the
 // gradient norm (DESIGN.md §2 item 18's perf trajectory).
 //
-// Shapes are the ones the GPT-2-like default of bench_runtime_throughput
-// actually executes (rows = B·seq = 64, hidden 192, mlp 768, vocab 768,
-// per-head dk 24), so the reported speedups are the kernel-level view of
-// the end-to-end iters/s gains. Helpers are pinned to 0: this measures the
-// microkernels, not the pool. While measuring, the bench also checks each
+// Two shape sets. The GPT-2-like default of bench_runtime_throughput
+// (rows = B·seq = 64, hidden 192, mlp 768, vocab 768, per-head dk 24), and
+// the gated perfbench model (hidden 128, 3h = 384, 4h = 512, vocab 4096) at
+// the row counts its workloads execute: M = 32 for train (forward NN, dW
+// TN, dX NT per Linear), 128 for serve and 4 for decode (forward NN only —
+// neither runs a backward). Helpers are pinned to 0: this measures the
+// microkernels, not the pool. Each row reports the median of five timed
+// repeats with their min–max. While measuring, the bench also checks each
 // op's cross-tier contract — bitwise equality for the ops the table marks
 // bitwise (gemm, gemm_tn, add_bias, bias_backward, the optimizer), abs
 // tolerance for the lane-reduced/polynomial ops — and exits nonzero on a
@@ -19,6 +22,7 @@
 // speedup column); unpinned runs measure both tiers per shape.
 #include "bench_common.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstring>
@@ -50,20 +54,45 @@ const char* variant_name(Variant v) {
 struct Shape {
   Variant variant;
   int m, k, n;
-  const char* site;  ///< which model GEMM this shape is
+  std::string site;  ///< which model GEMM this shape is
 };
 
-/// The GPT-2 bench shapes (bench_runtime_throughput defaults).
-const Shape kShapes[] = {
-    {Variant::kNN, 64, 192, 576, "qkv fwd"},
-    {Variant::kNN, 64, 192, 768, "mlp fc fwd"},
-    {Variant::kNN, 64, 768, 192, "mlp proj fwd"},
-    {Variant::kNN, 64, 192, 768, "head fwd"},
-    {Variant::kNT, 64, 24, 64, "attn scores"},
-    {Variant::kNN, 64, 64, 24, "attn ctx"},
-    {Variant::kTN, 64, 192, 768, "mlp fc dW"},
-    {Variant::kNT, 64, 768, 192, "mlp fc dX"},
+/// One Linear of the perfbench model: y[M, out] = x[M, in]·W[in, out].
+struct Linear {
+  int in, out;
+  const char* name;
 };
+
+const Linear kPerfbenchLinears[] = {{128, 384, "qkv"},
+                                    {128, 128, "attn out"},
+                                    {128, 512, "mlp fc"},
+                                    {512, 128, "mlp proj"},
+                                    {128, 4096, "head"}};
+
+std::vector<Shape> bench_shapes() {
+  // The GPT-2 bench shapes (bench_runtime_throughput defaults).
+  std::vector<Shape> shapes = {
+      {Variant::kNN, 64, 192, 576, "qkv fwd"},
+      {Variant::kNN, 64, 192, 768, "mlp fc fwd"},
+      {Variant::kNN, 64, 768, 192, "mlp proj fwd"},
+      {Variant::kNN, 64, 192, 768, "head fwd"},
+      {Variant::kNT, 64, 24, 64, "attn scores"},
+      {Variant::kNN, 64, 64, 24, "attn ctx"},
+      {Variant::kTN, 64, 192, 768, "mlp fc dW"},
+      {Variant::kNT, 64, 768, 192, "mlp fc dX"},
+  };
+  for (const Linear& l : kPerfbenchLinears) {
+    const std::string name = l.name;
+    shapes.push_back({Variant::kNN, 32, l.in, l.out, "train " + name + " fwd"});
+    shapes.push_back({Variant::kTN, l.in, 32, l.out, "train " + name + " dW"});
+    shapes.push_back({Variant::kNT, 32, l.out, l.in, "train " + name + " dX"});
+  }
+  for (auto [rows, workload] : {std::pair{128, "serve "}, {4, "decode "}})
+    for (const Linear& l : kPerfbenchLinears)
+      shapes.push_back({Variant::kNN, rows, l.in, l.out,
+                        workload + std::string(l.name) + " fwd"});
+  return shapes;
+}
 
 void run(const Shape& s, const Tensor& a, const Tensor& b, Tensor& c) {
   switch (s.variant) {
@@ -73,22 +102,37 @@ void run(const Shape& s, const Tensor& a, const Tensor& b, Tensor& c) {
   }
 }
 
-/// GFLOP/s over enough repetitions to make timer noise irrelevant.
-double measure(const Shape& s, const Tensor& a, const Tensor& b, Tensor& c,
-               double target_ms) {
-  const double flop = 2.0 * s.m * s.k * s.n;
-  run(s, a, b, c);  // warm (and populate c for the parity check)
-  long reps = 4;
-  for (;;) {
+/// Seconds per run: the median and spread of kRepeats timed repeats.
+struct Timing {
+  double median, fastest, slowest;
+};
+constexpr int kRepeats = 5;
+
+/// Warms once, sizes a repeat to at least target_ms / kRepeats so timer
+/// noise is irrelevant, then times kRepeats such repeats.
+Timing time_runs(const std::function<void()>& run, double target_ms) {
+  run();
+  const auto seconds = [&](long reps) {
     const auto t0 = std::chrono::steady_clock::now();
-    for (long r = 0; r < reps; ++r) run(s, a, b, c);
-    const double secs =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    if (secs * 1e3 >= target_ms || reps > (1L << 24))
-      return flop * reps / secs / 1e9;
+    for (long r = 0; r < reps; ++r) run();
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+        .count();
+  };
+  long reps = 1;
+  while (seconds(reps) * 1e3 < target_ms / kRepeats && reps <= (1L << 24))
     reps *= 4;
-  }
+  std::vector<double> per_run(kRepeats);
+  for (double& t : per_run) t = seconds(reps) / reps;
+  std::sort(per_run.begin(), per_run.end());
+  return {per_run[kRepeats / 2], per_run.front(), per_run.back()};
+}
+
+/// "lo-hi" of a rate over the repeats (fastest repeat = highest rate).
+std::string rate_range(double work, const Timing& t) {
+  char buf[48];
+  std::snprintf(buf, sizeof buf, "%.2f-%.2f", work / t.slowest / 1e9,
+                work / t.fastest / 1e9);
+  return buf;
 }
 
 /// One non-GEMM op: `run` executes it once (timed), `reset` restores any
@@ -103,23 +147,6 @@ struct OpSpec {
   std::function<void()> run;
   std::function<std::vector<float>()> outputs;
 };
-
-/// GB/s over enough repetitions to make timer noise irrelevant.
-double measure_gbs(const std::function<void()>& run, double bytes,
-                   double target_ms) {
-  run();  // warm
-  long reps = 4;
-  for (;;) {
-    const auto t0 = std::chrono::steady_clock::now();
-    for (long r = 0; r < reps; ++r) run();
-    const double secs =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    if (secs * 1e3 >= target_ms || reps > (1L << 24))
-      return bytes * reps / secs / 1e9;
-    reps *= 4;
-  }
-}
 
 std::vector<float> flat(std::initializer_list<const Tensor*> ts) {
   std::vector<float> out;
@@ -152,10 +179,11 @@ int main(int argc, char** argv) {
     if (tiers.empty() || tiers.back() != t) tiers.push_back(t);
   }
 
-  TextTable table({"variant", "shape", "site", "tier", "GFLOP/s", "speedup"});
+  TextTable table({"variant", "shape", "site", "tier", "GFLOP/s", "min-max",
+                   "speedup"});
   bool contract_broken = false;
   Rng rng(31);
-  for (const Shape& s : kShapes) {
+  for (const Shape& s : bench_shapes()) {
     Tensor a = s.variant == Variant::kTN ? Tensor(s.k, s.m) : Tensor(s.m, s.k);
     Tensor b = s.variant == Variant::kNT ? Tensor(s.n, s.k) : Tensor(s.k, s.n);
     a.randn(rng, 1.0f);
@@ -169,7 +197,9 @@ int main(int argc, char** argv) {
                             ? KernelPolicy::kScalarReference
                             : KernelPolicy::kFast);
       Tensor c(s.m, s.n);
-      const double gflops = measure(s, a, b, c, target_ms);
+      const double flop = 2.0 * s.m * s.k * s.n;
+      const Timing t = time_runs([&] { run(s, a, b, c); }, target_ms);
+      const double gflops = flop / t.median / 1e9;
       const bool is_fast = tier == KernelTier::kFast;
       if (!is_fast) {
         scalar_gflops = gflops;
@@ -195,9 +225,13 @@ int main(int argc, char** argv) {
       char sp[16];
       std::snprintf(sp, sizeof sp, speedup > 0 ? "%.2fx" : "-", speedup);
       table.add_row(variant_name(s.variant), shape, s.site,
-                    is_fast ? "fast" : "scalar", gflops, sp);
+                    is_fast ? "fast" : "scalar", gflops, rate_range(flop, t),
+                    sp);
       std::vector<std::pair<std::string, double>> extra = {
-          {"gflops", gflops}};
+          {"gflops", gflops},
+          {"gflops_min", flop / t.slowest / 1e9},
+          {"gflops_max", flop / t.fastest / 1e9},
+          {"repeats", kRepeats}};
       if (speedup > 0) extra.emplace_back("speedup_vs_scalar", speedup);
       json.add(std::string(variant_name(s.variant)) + " " + s.site,
                shape + " tier=" + (is_fast ? "fast" : "scalar"),
@@ -293,7 +327,7 @@ int main(int argc, char** argv) {
                    return std::vector<float>{static_cast<float>(gnorm)};
                  }});
 
-  TextTable optable({"op", "shape", "tier", "GB/s", "speedup"});
+  TextTable optable({"op", "shape", "tier", "GB/s", "min-max", "speedup"});
   for (OpSpec& op : ops) {
     double scalar_gbs = 0.0;
     std::vector<float> scalar_out;
@@ -324,14 +358,20 @@ int main(int argc, char** argv) {
         }
       }
       if (op.reset) op.reset();
-      const double gbs = measure_gbs(op.run, op.bytes, target_ms);
+      const Timing t = time_runs(op.run, target_ms);
+      const double gbs = op.bytes / t.median / 1e9;
       if (!is_fast) scalar_gbs = gbs;
       const double speedup =
           is_fast && scalar_gbs > 0.0 ? gbs / scalar_gbs : 0.0;
       char sp[16];
       std::snprintf(sp, sizeof sp, speedup > 0 ? "%.2fx" : "-", speedup);
-      optable.add_row(op.name, op.shape, is_fast ? "fast" : "scalar", gbs, sp);
-      std::vector<std::pair<std::string, double>> extra = {{"gbs", gbs}};
+      optable.add_row(op.name, op.shape, is_fast ? "fast" : "scalar", gbs,
+                      rate_range(op.bytes, t), sp);
+      std::vector<std::pair<std::string, double>> extra = {
+          {"gbs", gbs},
+          {"gbs_min", op.bytes / t.slowest / 1e9},
+          {"gbs_max", op.bytes / t.fastest / 1e9},
+          {"repeats", kRepeats}};
       if (speedup > 0) extra.emplace_back("speedup_vs_scalar", speedup);
       json.add(op.name, op.shape + " tier=" + (is_fast ? "fast" : "scalar"),
                /*throughput=*/0.0, 0.0, extra);

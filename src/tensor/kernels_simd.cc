@@ -6,8 +6,16 @@
 // allocator) on the calling thread, then shards output rows onto the
 // ComputePool with the same shape-only split points the scalar tier uses.
 // Inside a shard, gemm/gemm_tn walk panel-major over 6×16 register tiles;
-// gemm_nt walks 48-row blocks with 4-column dot groups so the four B rows
-// of a group stay L1-resident across the block.
+// gemm_nt walks 48-row blocks with 4-column dot groups.
+//
+// Register residency. A tile's 2·MR accumulators, its two panel vectors
+// and the A broadcast (2·MR + 3 ≤ 16 ymm for MR ≤ 6), like a dot group's
+// JT accumulators, live in registers only if every loop over MR or JT is
+// unrolled at compile time: gcc -O2 leaves those constant-trip loops
+// rolled, the runtime-indexed acc[] array then lives on the stack, and
+// every multiply-add becomes a store-forwarding round trip (about half
+// the speed, bitwise the same result). CHIMERA_UNROLL forces the unroll;
+// scripts/check_gemm_codegen.sh (run in CI) fails if it is lost.
 //
 // Two implementations share that structure: AVX2+FMA microkernels behind
 // __attribute__((target)) with __builtin_cpu_supports dispatch, and a
@@ -23,13 +31,16 @@
 // contracts mul+add — intrinsic or not — into one differently-rounded FMA
 // inside an fma-target function; CMakeLists pins the flag). gemm_nt
 // reduces a dot product across lanes: 8 strided partials, a fixed combine
-// tree, explicit FMA intrinsics in the vector body, and a scalar tail —
+// tree, explicit FMA in the vector body (std::fma on the portable mirror,
+// so the two paths agree bitwise), and a scalar tail —
 // tolerance-equal to the reference, but a pure function of k and the data,
 // so results never depend on the row count or the shard split.
 #include "tensor/kernels_simd.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
+#include <cstring>
 
 #include "tensor/arena.h"
 #include "tensor/compute_pool.h"
@@ -41,6 +52,9 @@
 #else
 #define CHIMERA_SIMD_X86 0
 #endif
+
+/// Fully unrolls the next constant-trip loop (the MR/JT loops below).
+#define CHIMERA_UNROLL _Pragma("GCC unroll 16")
 
 namespace chimera::simd {
 namespace {
@@ -66,18 +80,24 @@ float* pack_workspace(std::size_t n) {
 /// Packs B[k,n] (row-major) into ⌈n/16⌉ column panels: panel p holds
 /// columns [16p, 16p+16) contiguously as k rows of 16 floats, the tail
 /// panel zero-padded. One pass over B, reused by every row tile of the op.
+/// Full panels copy a fixed 64 bytes per k-row; only the tail panel takes
+/// the element loop with its zero padding.
 void pack_b_panels(const float* pb, int k, int n, float* packed) {
-  const int panels = (n + kNR - 1) / kNR;
-  for (int p = 0; p < panels; ++p) {
-    const int j0 = p * kNR;
-    const int w = std::min(kNR, n - j0);
+  const int full = n / kNR;
+  for (int p = 0; p < full; ++p) {
+    const float* src = pb + static_cast<std::size_t>(p) * kNR;
     float* dst = packed + static_cast<std::size_t>(p) * k * kNR;
-    for (int l = 0; l < k; ++l) {
-      const float* src = pb + static_cast<std::size_t>(l) * n + j0;
-      for (int j = 0; j < w; ++j) dst[j] = src[j];
-      for (int j = w; j < kNR; ++j) dst[j] = 0.0f;
-      dst += kNR;
-    }
+    for (int l = 0; l < k; ++l, src += n, dst += kNR)
+      std::memcpy(dst, src, kNR * sizeof(float));
+  }
+  const int j0 = full * kNR;
+  if (j0 == n) return;
+  const int w = n - j0;
+  float* dst = packed + static_cast<std::size_t>(full) * k * kNR;
+  for (int l = 0; l < k; ++l, dst += kNR) {
+    const float* src = pb + static_cast<std::size_t>(l) * n + j0;
+    for (int j = 0; j < w; ++j) dst[j] = src[j];
+    for (int j = w; j < kNR; ++j) dst[j] = 0.0f;
   }
 }
 
@@ -103,16 +123,19 @@ void tile_portable(const float* pa, std::size_t ra, std::size_t rl, int k,
                    const float* panel, float* pc, std::size_t ldc, int width,
                    bool accumulate) {
   float acc[MR][kNR];
+  CHIMERA_UNROLL
   for (int r = 0; r < MR; ++r)
     for (int j = 0; j < kNR; ++j)
       acc[r][j] = (accumulate && j < width) ? pc[r * ldc + j] : 0.0f;
   for (int l = 0; l < k; ++l) {
     const float* brow = panel + static_cast<std::size_t>(l) * kNR;
+    CHIMERA_UNROLL
     for (int r = 0; r < MR; ++r) {
       const float av = pa[r * ra + static_cast<std::size_t>(l) * rl];
       for (int j = 0; j < kNR; ++j) acc[r][j] += av * brow[j];
     }
   }
+  CHIMERA_UNROLL
   for (int r = 0; r < MR; ++r)
     for (int j = 0; j < width; ++j) pc[r * ldc + j] = acc[r][j];
 }
@@ -122,11 +145,16 @@ void dot_portable(const float* arow, const float* pb, std::size_t ldb, int k,
                   float* cdst, bool accumulate) {
   float lanes[JT][8] = {};
   int l = 0;
-  for (; l + 8 <= k; l += 8)
+  for (; l + 8 <= k; l += 8) {
+    CHIMERA_UNROLL
     for (int g = 0; g < JT; ++g) {
       const float* brow = pb + g * ldb;
-      for (int t = 0; t < 8; ++t) lanes[g][t] += arow[l + t] * brow[l + t];
+      // One fused multiply-add per lane, as the AVX2 body's vfmadd.
+      for (int t = 0; t < 8; ++t)
+        lanes[g][t] = std::fma(arow[l + t], brow[l + t], lanes[g][t]);
     }
+  }
+  CHIMERA_UNROLL
   for (int g = 0; g < JT; ++g) {
     // The exact combine tree of the AVX2 horizontal sum below.
     float* p = lanes[g];
@@ -169,11 +197,13 @@ void tile_avx2(const float* pa, std::size_t ra, std::size_t rl, int k,
                const float* panel, float* pc, std::size_t ldc, int width,
                bool accumulate) {
   // 2·MR accumulators (≤ 12 ymm) + two panel vectors + one broadcast stay
-  // within the 16 ymm registers for MR = 6.
+  // within the 16 ymm registers for MR = 6 — as long as every r-loop is
+  // unrolled (see the file comment).
   __m256 acc[MR][2];
   const bool full = width == kNR;
   const __m256i m0 = full ? __m256i{} : lane_mask(std::min(width, 8));
   const __m256i m1 = full ? __m256i{} : lane_mask(std::max(width - 8, 0));
+  CHIMERA_UNROLL
   for (int r = 0; r < MR; ++r) {
     float* crow = pc + r * ldc;
     if (!accumulate) {
@@ -193,6 +223,7 @@ void tile_avx2(const float* pa, std::size_t ra, std::size_t rl, int k,
     const __m256 b1 = _mm256_load_ps(panel + 8);
     panel += kNR;
     const float* al = pa + static_cast<std::size_t>(l) * rl;
+    CHIMERA_UNROLL
     for (int r = 0; r < MR; ++r) {
       const __m256 av = _mm256_broadcast_ss(al + r * ra);
       // Separate multiply and add — never vfmadd — so each element keeps
@@ -201,6 +232,7 @@ void tile_avx2(const float* pa, std::size_t ra, std::size_t rl, int k,
       acc[r][1] = _mm256_add_ps(acc[r][1], _mm256_mul_ps(av, b1));
     }
   }
+  CHIMERA_UNROLL
   for (int r = 0; r < MR; ++r) {
     float* crow = pc + r * ldc;
     if (full) {
@@ -228,13 +260,16 @@ CHIMERA_TARGET_AVX2
 void dot_avx2(const float* arow, const float* pb, std::size_t ldb, int k,
               float* cdst, bool accumulate) {
   __m256 acc[JT];
+  CHIMERA_UNROLL
   for (int g = 0; g < JT; ++g) acc[g] = _mm256_setzero_ps();
   int l = 0;
   for (; l + 8 <= k; l += 8) {
     const __m256 av = _mm256_loadu_ps(arow + l);
+    CHIMERA_UNROLL
     for (int g = 0; g < JT; ++g)
       acc[g] = _mm256_fmadd_ps(av, _mm256_loadu_ps(pb + g * ldb + l), acc[g]);
   }
+  CHIMERA_UNROLL
   for (int g = 0; g < JT; ++g) {
     float sum = hsum8(acc[g]);
     const float* brow = pb + g * ldb;
@@ -642,9 +677,12 @@ constexpr Tables kAvx2 = {
     gelu_row_avx2};
 #endif
 
+/// Set through set_portable_gemm_for_test; read only on the calling thread.
+thread_local bool t_portable_for_test = false;
+
 const Tables& tables() {
 #if CHIMERA_SIMD_X86
-  if (cpu_supports_avx2_fma()) return kAvx2;
+  if (cpu_supports_avx2_fma() && !t_portable_for_test) return kAvx2;
 #endif
   return kPortable;
 }
@@ -704,6 +742,8 @@ bool cpu_supports_avx2_fma() {
 #endif
 }
 
+void set_portable_gemm_for_test(bool on) { t_portable_for_test = on; }
+
 void gemm_fast(const Tensor& a, const Tensor& b, Tensor& c, bool accumulate) {
   const int m = a.rows(), k = a.cols(), n = b.cols();
   CHIMERA_CHECK(b.rows() == k && c.rows() == m && c.cols() == n);
@@ -738,8 +778,9 @@ void gemm_nt_fast(const Tensor& a, const Tensor& b, Tensor& c,
   float* pc = c.data();
   const Tables& t = tables();
   // Row shards, then 48-row blocks × 4-column dot groups: the group's four
-  // B rows (4k floats) stay L1-resident across the whole block while A rows
-  // stream from L2. No packing — both operands are read row-contiguously.
+  // B rows (4k floats: 2 KB at k = 128, 64 KB at k = 4096) are reused by
+  // every row of the block, from L1 while 4k floats fit and from L2 beyond
+  // that. No packing — both operands are read row-contiguously.
   const int shards = plan_shards(m, static_cast<std::size_t>(k) * n);
   ComputePool::instance().parallel_for(shards, [&](int s) {
     const int r0 = shard_begin(m, shards, s);

@@ -9,7 +9,7 @@
 // cpu_supports_avx2_fma() is true, and runs the scalar reference otherwise
 // (a scalar "fast tier" trivially satisfies every contract). Only
 // tensor/kernels.cc includes this header for dispatch; tests include it to
-// query CPU capability.
+// query CPU capability and to run the portable GEMM mirror directly.
 //
 // Contract recap (full per-op table: DESIGN.md §2 item 18):
 //  - gemm_fast / gemm_tn_fast keep each output element's serial ascending
@@ -18,8 +18,9 @@
 //    every host. Same for add_bias_fast, bias_backward_fast, the
 //    dgamma/dbeta pass of layernorm_backward_fast (column lanes, ascending
 //    rows) and the comm loops (one exact op per element).
-//  - gemm_nt_fast reduces a dot product across lanes (8 strided partials,
-//    fixed combine tree, FMA where available) — tolerance-equal; bitwise
+//  - gemm_nt_fast reduces a dot product across lanes (8 strided partials
+//    fused multiply-added, fixed combine tree; the portable mirror uses
+//    std::fma, so both paths agree bitwise) — tolerance-equal; bitwise
 //    stable in the row count for fixed k.
 //  - gelu_*_fast, softmax_rows_fast, cross_entropy_fast and the row
 //    statistics of layernorm_*_fast use a vector exp/tanh polynomial and
@@ -40,6 +41,12 @@ namespace chimera::simd {
 /// True when the running CPU has AVX2 and FMA (what KernelPolicy::kAuto
 /// keys on). The fast tier still works without them via the portable path.
 bool cpu_supports_avx2_fma();
+
+/// Test-only: while on, this thread's fast-tier GEMM calls (gemm_fast,
+/// gemm_tn_fast, gemm_nt_fast, gemm_bias_act_fast) run the portable mirror
+/// even on AVX2 hosts, so tests can pin the mirror that non-AVX2 hosts run.
+/// Not an engine option; only tests call it.
+void set_portable_gemm_for_test(bool on);
 
 /// Fast-tier C = A·B (+ C if accumulate). Bitwise ≡ scalar reference.
 void gemm_fast(const Tensor& a, const Tensor& b, Tensor& c, bool accumulate);

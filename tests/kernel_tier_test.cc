@@ -701,5 +701,103 @@ TEST(KernelTier, PooledShardsBitwiseMatchSerialInEveryTier) {
   }
 }
 
+// ---- The portable GEMM mirror --------------------------------------------
+// Hosts without AVX2+FMA run the fast tier's GEMMs on the portable mirror,
+// which AVX2 hosts never dispatch to. These tests force it and call the
+// simd entry points directly, so they hold under either tier pin.
+
+/// RAII: runs this thread's fast-tier GEMMs on the portable mirror.
+struct PortableGemmGuard {
+  PortableGemmGuard() { simd::set_portable_gemm_for_test(true); }
+  ~PortableGemmGuard() { simd::set_portable_gemm_for_test(false); }
+};
+
+/// kShapes plus the forward GEMMs of the benchmark model (hidden 128,
+/// vocab 4096) at M = 4 (decode), 32 (train) and 128 (serve) rows: the
+/// attention projection, qkv (3h), MLP up (4h) and down, and the LM head.
+std::vector<std::tuple<int, int, int>> portable_shapes() {
+  std::vector<std::tuple<int, int, int>> shapes(std::begin(kShapes),
+                                                std::end(kShapes));
+  for (int m : {4, 32, 128})
+    for (auto [k, n] : {std::pair{128, 128}, {128, 384}, {128, 512},
+                        {512, 128}, {128, 4096}})
+      shapes.emplace_back(m, k, n);
+  return shapes;
+}
+
+std::string shape_name(int m, int k, int n) {
+  return std::to_string(m) + "x" + std::to_string(k) + "x" + std::to_string(n);
+}
+
+TEST(KernelTier, PortableMirrorGemmAndGemmTnBitwiseMatchReference) {
+  Rng rng(37);
+  for (auto [m, k, n] : portable_shapes()) {
+    const Tensor a = random_tensor(m, k, rng);
+    const Tensor at = random_tensor(k, m, rng);  // stores Aᵀ
+    const Tensor b = random_tensor(k, n, rng);
+    for (bool accumulate : {false, true}) {
+      SCOPED_TRACE(shape_name(m, k, n) + (accumulate ? " acc" : ""));
+      const Tensor seed = random_tensor(m, n, rng, 0.5f);
+      Tensor want = seed, want_tn = seed;
+      ref_gemm(a, b, want, accumulate);
+      ref_gemm_tn(at, b, want_tn, accumulate);
+      Tensor c = seed, c_tn = seed;
+      {
+        PortableGemmGuard portable;
+        simd::gemm_fast(a, b, c, accumulate);
+        simd::gemm_tn_fast(at, b, c_tn, accumulate);
+      }
+      expect_bitwise(c, want);
+      expect_bitwise(c_tn, want_tn);
+    }
+  }
+}
+
+TEST(KernelTier, PortableMirrorFusedBiasGeluBitwiseMatchesReference) {
+  Rng rng(38);
+  for (auto [m, k, n] : portable_shapes()) {
+    SCOPED_TRACE(shape_name(m, k, n));
+    const Tensor x = random_tensor(m, k, rng);
+    const Tensor w = random_tensor(k, n, rng);
+    const Tensor bias = random_tensor(1, n, rng, 0.5f);
+    Tensor want_y(m, n);
+    ref_gemm(x, w, want_y, /*acc=*/false);
+    ref_add_bias(want_y, bias);
+    Tensor want_g(m, n);
+    for (std::size_t i = 0; i < want_y.numel(); ++i)
+      want_g[i] = detail::gelu_eval(want_y[i]);
+    Tensor y1(m, n), y2(m, n), g2(m, n);
+    {
+      PortableGemmGuard portable;
+      simd::gemm_bias_act_fast(x, w, bias, y1, nullptr);
+      simd::gemm_bias_act_fast(x, w, bias, y2, &g2);
+    }
+    expect_bitwise(y1, want_y);
+    expect_bitwise(y2, want_y);
+    expect_bitwise(g2, want_g);
+  }
+}
+
+TEST(KernelTier, PortableMirrorGemmNtBitwiseMatchesAvx2) {
+  if (!simd::cpu_supports_avx2_fma())
+    GTEST_SKIP() << "no AVX2+FMA: the portable mirror is the only gemm_nt";
+  Rng rng(39);
+  for (auto [m, k, n] : portable_shapes()) {
+    const Tensor a = random_tensor(m, k, rng);
+    const Tensor b = random_tensor(n, k, rng);  // stores Bᵀ
+    for (bool accumulate : {false, true}) {
+      SCOPED_TRACE(shape_name(m, k, n) + (accumulate ? " acc" : ""));
+      const Tensor seed = random_tensor(m, n, rng, 0.5f);
+      Tensor want = seed, c = seed;
+      simd::gemm_nt_fast(a, b, want, accumulate);
+      {
+        PortableGemmGuard portable;
+        simd::gemm_nt_fast(a, b, c, accumulate);
+      }
+      expect_bitwise(c, want);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace chimera
