@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Codegen guard for the fast-tier GEMM microkernels (DESIGN.md §2 item 18).
 #
-# The microkernels tile_avx2<MR> (MR = 1..6) and dot_avx2<JT> (JT = 1..4)
-# only run at register speed when their accumulators stay in ymm
-# registers. If a compiler upgrade or a refactor
-# leaves an MR/JT loop rolled, the accumulator array moves to the stack
+# The microkernels tile_avx2<MR> (MR = 1..6), dot_avx2<JT> (JT = 1..4) and
+# the 3x4 gemm_nt tile nt_tile_avx2 only run at register speed when their
+# accumulators stay in ymm registers. If a compiler upgrade or a refactor
+# leaves an MR/JT/row loop rolled, the accumulator array moves to the stack
 # and every multiply-add in the k-loop becomes a load/store round trip,
 # with bitwise identical results, so no test notices. This script
 # disassembles kernels_simd.cc.o, finds each kernel's k-loop (the
@@ -89,6 +89,7 @@ done
 for jt in 1 2 3 4; do
   check_kernel "dot_avx2<$jt>" '^vfmadd' || status=1
 done
+check_kernel "nt_tile_avx2" '^vfmadd' || status=1
 if [ "$status" -eq 0 ]; then
   echo "check-gemm-codegen: accumulators stay in registers"
 fi

@@ -1,20 +1,25 @@
 // Fast GEMM tier: cache-blocked, register-tiled microkernels with packed B
 // panels (DESIGN.md §2 item 18).
 //
-// Layout. Every variant packs B once per op into 16-column panels
+// Layout. Every variant shards its output *columns* onto the ComputePool
+// with shape-only split points: gemm/gemm_tn/fused bias(+GELU) over
+// 16-column panels, gemm_nt over 4-column dot groups. A column shard reads
+// only its own slice of B, so even a 32-row LM head splits 16 ways without
+// re-reading the whole weight per shard. A gemm shard packs its panels
 // (zero-padded to the panel width, 64-byte aligned via the arena's
-// allocator) on the calling thread, then shards output rows onto the
-// ComputePool with the same shape-only split points the scalar tier uses.
-// Inside a shard, gemm/gemm_tn walk panel-major over 6×16 register tiles;
-// gemm_nt walks 48-row blocks with 4-column dot groups.
+// allocator) into its own thread's workspace, then walks every row of C
+// in 6×16 register tiles, row tiles outer. A gemm_nt shard walks 48-row
+// blocks, then its dot groups, in 3×4 register tiles.
 //
 // Register residency. A tile's 2·MR accumulators, its two panel vectors
 // and the A broadcast (2·MR + 3 ≤ 16 ymm for MR ≤ 6), like a dot group's
-// JT accumulators, live in registers only if every loop over MR or JT is
-// unrolled at compile time: gcc -O2 leaves those constant-trip loops
-// rolled, the runtime-indexed acc[] array then lives on the stack, and
-// every multiply-add becomes a store-forwarding round trip (about half
-// the speed, bitwise the same result). CHIMERA_UNROLL forces the unroll;
+// JT accumulators and the 3×4 gemm_nt tile's 12 accumulators, three A
+// vectors and one B vector (16 ymm), live in registers only if every loop
+// over MR, JT or the tile's rows and columns is unrolled at compile time:
+// gcc -O2 leaves those constant-trip loops rolled, the runtime-indexed
+// acc[] array then lives on the stack, and every multiply-add becomes a
+// store-forwarding round trip (about half the speed, bitwise the same
+// result). CHIMERA_UNROLL forces the unroll;
 // scripts/check_gemm_codegen.sh (run in CI) fails if it is lost.
 //
 // Two implementations share that structure: AVX2+FMA microkernels behind
@@ -34,7 +39,9 @@
 // tree, explicit FMA in the vector body (std::fma on the portable mirror,
 // so the two paths agree bitwise), and a scalar tail —
 // tolerance-equal to the reference, but a pure function of k and the data,
-// so results never depend on the row count or the shard split.
+// so results never depend on the row count, the tile shape or the shard
+// split (the 3×4 tile runs each element through the single-row dot's exact
+// lane chain).
 #include "tensor/kernels_simd.h"
 
 #include <algorithm>
@@ -63,6 +70,7 @@ constexpr int kNR = 16;       ///< panel width: two 8-float vectors
 constexpr int kMR = 6;        ///< register-tile rows (12 acc regs + 4 live)
 constexpr int kNtBlock = 48;  ///< gemm_nt row block (matches scalar kBlock)
 constexpr int kNtGroup = 4;   ///< gemm_nt dot-product columns per pass
+constexpr int kNtRows = 3;    ///< gemm_nt tile rows (12 acc regs + 4 live)
 
 /// Per-thread packing workspace, grow-only so the steady state neither
 /// allocates nor memsets (packing overwrites every element, including the
@@ -77,25 +85,19 @@ float* pack_workspace(std::size_t n) {
   return buf.data();
 }
 
-/// Packs B[k,n] (row-major) into ⌈n/16⌉ column panels: panel p holds
-/// columns [16p, 16p+16) contiguously as k rows of 16 floats, the tail
-/// panel zero-padded. One pass over B, reused by every row tile of the op.
-/// Full panels copy a fixed 64 bytes per k-row; only the tail panel takes
-/// the element loop with its zero padding.
-void pack_b_panels(const float* pb, int k, int n, float* packed) {
-  const int full = n / kNR;
-  for (int p = 0; p < full; ++p) {
-    const float* src = pb + static_cast<std::size_t>(p) * kNR;
-    float* dst = packed + static_cast<std::size_t>(p) * k * kNR;
+/// Packs the 16-column panel of B[k,n] (row-major) that starts at column
+/// j0 as k contiguous rows of 16 floats, zero-padding a tail panel. A full
+/// panel copies a fixed 64 bytes per k-row; only the tail panel takes the
+/// element loop with its zero padding.
+void pack_panel(const float* pb, int k, int n, int j0, float* dst) {
+  const float* src = pb + j0;
+  const int w = std::min(kNR, n - j0);
+  if (w == kNR) {
     for (int l = 0; l < k; ++l, src += n, dst += kNR)
       std::memcpy(dst, src, kNR * sizeof(float));
+    return;
   }
-  const int j0 = full * kNR;
-  if (j0 == n) return;
-  const int w = n - j0;
-  float* dst = packed + static_cast<std::size_t>(full) * k * kNR;
-  for (int l = 0; l < k; ++l, dst += kNR) {
-    const float* src = pb + static_cast<std::size_t>(l) * n + j0;
+  for (int l = 0; l < k; ++l, src += n, dst += kNR) {
     for (int j = 0; j < w; ++j) dst[j] = src[j];
     for (int j = w; j < kNR; ++j) dst[j] = 0.0f;
   }
@@ -113,6 +115,21 @@ using TileFn = void (*)(const float* pa, std::size_t ra, std::size_t rl,
 /// row j0; row j0+g lives at pb[g·ldb].
 using DotFn = void (*)(const float* arow, const float* pb, std::size_t ldb,
                        int k, float* cdst, bool accumulate);
+
+/// A kNtRows×kNtGroup block of C (+)= A·Bᵀ: A row r at pa[r·lda], B row g
+/// at pb[g·ldb], C element (r, g) at pc[r·ldc + g]. Every element runs
+/// dot<kNtGroup>'s exact chain, so the tile changes no result.
+using NtTileFn = void (*)(const float* pa, std::size_t lda, const float* pb,
+                          std::size_t ldb, int k, float* pc, std::size_t ldc,
+                          bool accumulate);
+
+/// The scalar tail of a lane-reduced dot (elements [l, k)) and its store:
+/// the one chain every dot kernel ends each C element with.
+inline void dot_finish(float sum, const float* arow, const float* brow, int l,
+                       int k, float* cdst, bool accumulate) {
+  for (int t = l; t < k; ++t) sum += arow[t] * brow[t];
+  *cdst = (accumulate ? *cdst : 0.0f) + sum;
+}
 
 // ---------------------------------------------------------------------------
 // Portable mirror. Same blocking, same per-element accumulation orders.
@@ -140,6 +157,11 @@ void tile_portable(const float* pa, std::size_t ra, std::size_t rl, int k,
     for (int j = 0; j < width; ++j) pc[r * ldc + j] = acc[r][j];
 }
 
+/// The exact combine tree of the AVX2 horizontal sum (hsum8 below).
+inline float hsum8_portable(const float* p) {
+  return ((p[0] + p[4]) + (p[2] + p[6])) + ((p[1] + p[5]) + (p[3] + p[7]));
+}
+
 template <int JT>
 void dot_portable(const float* arow, const float* pb, std::size_t ldb, int k,
                   float* cdst, bool accumulate) {
@@ -155,13 +177,34 @@ void dot_portable(const float* arow, const float* pb, std::size_t ldb, int k,
     }
   }
   CHIMERA_UNROLL
-  for (int g = 0; g < JT; ++g) {
-    // The exact combine tree of the AVX2 horizontal sum below.
-    float* p = lanes[g];
-    float sum = ((p[0] + p[4]) + (p[2] + p[6])) + ((p[1] + p[5]) + (p[3] + p[7]));
-    const float* brow = pb + g * ldb;
-    for (int t = l; t < k; ++t) sum += arow[t] * brow[t];
-    cdst[g] = (accumulate ? cdst[g] : 0.0f) + sum;
+  for (int g = 0; g < JT; ++g)
+    dot_finish(hsum8_portable(lanes[g]), arow, pb + g * ldb, l, k, cdst + g,
+               accumulate);
+}
+
+void nt_tile_portable(const float* pa, std::size_t lda, const float* pb,
+                      std::size_t ldb, int k, float* pc, std::size_t ldc,
+                      bool accumulate) {
+  float lanes[kNtRows][kNtGroup][8] = {};
+  int l = 0;
+  for (; l + 8 <= k; l += 8) {
+    CHIMERA_UNROLL
+    for (int r = 0; r < kNtRows; ++r) {
+      const float* arow = pa + r * lda;
+      CHIMERA_UNROLL
+      for (int g = 0; g < kNtGroup; ++g) {
+        const float* brow = pb + g * ldb;
+        for (int t = 0; t < 8; ++t)
+          lanes[r][g][t] = std::fma(arow[l + t], brow[l + t], lanes[r][g][t]);
+      }
+    }
+  }
+  CHIMERA_UNROLL
+  for (int r = 0; r < kNtRows; ++r) {
+    CHIMERA_UNROLL
+    for (int g = 0; g < kNtGroup; ++g)
+      dot_finish(hsum8_portable(lanes[r][g]), pa + r * lda, pb + g * ldb, l, k,
+                 pc + r * ldc + g, accumulate);
   }
 }
 
@@ -270,11 +313,44 @@ void dot_avx2(const float* arow, const float* pb, std::size_t ldb, int k,
       acc[g] = _mm256_fmadd_ps(av, _mm256_loadu_ps(pb + g * ldb + l), acc[g]);
   }
   CHIMERA_UNROLL
-  for (int g = 0; g < JT; ++g) {
-    float sum = hsum8(acc[g]);
-    const float* brow = pb + g * ldb;
-    for (int t = l; t < k; ++t) sum += arow[t] * brow[t];
-    cdst[g] = (accumulate ? cdst[g] : 0.0f) + sum;
+  for (int g = 0; g < JT; ++g)
+    dot_finish(hsum8(acc[g]), arow, pb + g * ldb, l, k, cdst + g, accumulate);
+}
+
+/// dot_avx2<kNtGroup> over kNtRows A rows at once: each B vector feeds
+/// three FMAs and each A vector four, where the single-row dot loads one
+/// B vector per FMA. 12 accumulators + 3 A vectors + 1 B vector = 16 ymm,
+/// all resident only while every r/g loop is unrolled (see the file
+/// comment). Accumulator (r, g) sees exactly dot_avx2's lane chain.
+CHIMERA_TARGET_AVX2
+void nt_tile_avx2(const float* pa, std::size_t lda, const float* pb,
+                  std::size_t ldb, int k, float* pc, std::size_t ldc,
+                  bool accumulate) {
+  __m256 acc[kNtRows][kNtGroup];
+  CHIMERA_UNROLL
+  for (int r = 0; r < kNtRows; ++r) {
+    CHIMERA_UNROLL
+    for (int g = 0; g < kNtGroup; ++g) acc[r][g] = _mm256_setzero_ps();
+  }
+  int l = 0;
+  for (; l + 8 <= k; l += 8) {
+    __m256 av[kNtRows];
+    CHIMERA_UNROLL
+    for (int r = 0; r < kNtRows; ++r) av[r] = _mm256_loadu_ps(pa + r * lda + l);
+    CHIMERA_UNROLL
+    for (int g = 0; g < kNtGroup; ++g) {
+      const __m256 bv = _mm256_loadu_ps(pb + g * ldb + l);
+      CHIMERA_UNROLL
+      for (int r = 0; r < kNtRows; ++r)
+        acc[r][g] = _mm256_fmadd_ps(av[r], bv, acc[r][g]);
+    }
+  }
+  CHIMERA_UNROLL
+  for (int r = 0; r < kNtRows; ++r) {
+    CHIMERA_UNROLL
+    for (int g = 0; g < kNtGroup; ++g)
+      dot_finish(hsum8(acc[r][g]), pa + r * lda, pb + g * ldb, l, k,
+                 pc + r * ldc + g, accumulate);
   }
 }
 
@@ -659,6 +735,7 @@ void dequant_add_int8_avx2(const std::int8_t* q, std::size_t n, float unit,
 struct Tables {
   TileFn tile[kMR + 1];
   DotFn dot[kNtGroup + 1];
+  NtTileFn nt_tile;
   void (*gelu_row)(const float* y, float* g, int n);
 };
 
@@ -667,6 +744,7 @@ constexpr Tables kPortable = {
      tile_portable<4>, tile_portable<5>, tile_portable<6>},
     {nullptr, dot_portable<1>, dot_portable<2>, dot_portable<3>,
      dot_portable<4>},
+    nt_tile_portable,
     gelu_row_portable};
 
 #if CHIMERA_SIMD_X86
@@ -674,6 +752,7 @@ constexpr Tables kAvx2 = {
     {nullptr, tile_avx2<1>, tile_avx2<2>, tile_avx2<3>, tile_avx2<4>,
      tile_avx2<5>, tile_avx2<6>},
     {nullptr, dot_avx2<1>, dot_avx2<2>, dot_avx2<3>, dot_avx2<4>},
+    nt_tile_avx2,
     gelu_row_avx2};
 #endif
 
@@ -687,34 +766,38 @@ const Tables& tables() {
   return kPortable;
 }
 
-/// Shared panel driver for gemm (ra=k, rl=1) and gemm_tn (ra=1, rl=m): pack
-/// B, shard output rows, then panel-major 6×16 tiles inside each shard so
-/// the active panel stays cache-hot across row tiles. When `bias`/`pg` are
-/// set, the fused epilogue runs on each finished tile: the bias add is the
-/// same single add per element as add_bias, and the GELU goes through the
-/// table's gelu_row — the evaluation this host's fast-tier gelu_forward
-/// also uses — so fusion is bitwise-identical to the unfused
-/// add_bias/gelu_forward passes within the tier.
+/// Shared panel driver for gemm (ra=k, rl=1) and gemm_tn (ra=1, rl=m).
+/// Shards own disjoint runs of 16-column panels: each packs its own panels
+/// into its thread's workspace, then walks every row of C in 6-row tiles,
+/// row tiles outer, so a tile's A rows stay in L1 across the shard's
+/// panels and C is written in contiguous row runs (the head dW's 2 MB C
+/// would otherwise be walked at a 16 KB row stride per panel). When
+/// `bias`/`pg` are set, the fused epilogue runs on each finished tile: the
+/// bias add is the same single add per element as add_bias, and the GELU
+/// goes through the table's gelu_row — the evaluation this host's
+/// fast-tier gelu_forward also uses — so fusion is bitwise-identical to
+/// the unfused add_bias/gelu_forward passes within the tier.
 void gemm_panels(const float* pa, std::size_t ra, std::size_t rl, int m,
                  int n, int k, const float* pb, float* pc, bool accumulate,
                  const float* bias, float* pg) {
   const int panels = (n + kNR - 1) / kNR;
-  float* packed =
-      pack_workspace(static_cast<std::size_t>(panels) * k * kNR);
-  pack_b_panels(pb, k, n, packed);
+  const std::size_t panel_floats = static_cast<std::size_t>(k) * kNR;
   const Tables& t = tables();
-  const int shards = plan_shards(m, static_cast<std::size_t>(k) * n);
+  const int shards = gemm_panel_shards(m, n, k);
   ComputePool::instance().parallel_for(shards, [&](int s) {
-    const int r0 = shard_begin(m, shards, s);
-    const int r1 = shard_begin(m, shards, s + 1);
-    for (int p = 0; p < panels; ++p) {
-      const int j0 = p * kNR;
-      const int width = std::min(kNR, n - j0);
-      const float* panel = packed + static_cast<std::size_t>(p) * k * kNR;
-      for (int i = r0; i < r1; i += kMR) {
-        const int mr = std::min(kMR, r1 - i);
+    const int p0 = shard_begin(panels, shards, s);
+    const int p1 = shard_begin(panels, shards, s + 1);
+    float* packed = pack_workspace((p1 - p0) * panel_floats);
+    for (int p = p0; p < p1; ++p)
+      pack_panel(pb, k, n, p * kNR, packed + (p - p0) * panel_floats);
+    for (int i = 0; i < m; i += kMR) {
+      const int mr = std::min(kMR, m - i);
+      for (int p = p0; p < p1; ++p) {
+        const int j0 = p * kNR;
+        const int width = std::min(kNR, n - j0);
         float* ctile = pc + static_cast<std::size_t>(i) * n + j0;
-        t.tile[mr](pa + i * ra, ra, rl, k, panel, ctile, n, width, accumulate);
+        t.tile[mr](pa + i * ra, ra, rl, k, packed + (p - p0) * panel_floats,
+                   ctile, n, width, accumulate);
         if (bias || pg) {
           for (int r = i; r < i + mr; ++r) {
             float* yrow = pc + static_cast<std::size_t>(r) * n + j0;
@@ -743,6 +826,16 @@ bool cpu_supports_avx2_fma() {
 }
 
 void set_portable_gemm_for_test(bool on) { t_portable_for_test = on; }
+
+int gemm_panel_shards(int m, int n, int k) {
+  return plan_shards((n + kNR - 1) / kNR,
+                     static_cast<std::size_t>(m) * k * kNR);
+}
+
+int gemm_nt_shards(int m, int n, int k) {
+  return plan_shards((n + kNtGroup - 1) / kNtGroup,
+                     static_cast<std::size_t>(m) * k * kNtGroup);
+}
 
 void gemm_fast(const Tensor& a, const Tensor& b, Tensor& c, bool accumulate) {
   const int m = a.rows(), k = a.cols(), n = b.cols();
@@ -777,20 +870,32 @@ void gemm_nt_fast(const Tensor& a, const Tensor& b, Tensor& c,
   const float* pb = b.data();
   float* pc = c.data();
   const Tables& t = tables();
-  // Row shards, then 48-row blocks × 4-column dot groups: the group's four
-  // B rows (4k floats: 2 KB at k = 128, 64 KB at k = 4096) are reused by
-  // every row of the block, from L1 while 4k floats fit and from L2 beyond
-  // that. No packing — both operands are read row-contiguously.
-  const int shards = plan_shards(m, static_cast<std::size_t>(k) * n);
+  // Column shards of whole 4-column dot groups, so an M = 32 call still
+  // splits by n. Inside a shard, 48-row blocks outer and dot groups inner:
+  // the group's four B rows (4k floats: 2 KB at k = 128, 64 KB at
+  // k = 4096) are reused by every 3-row tile of the block. A tile loads
+  // 3 A + 4 B vectors per 12 FMAs where the single-row dot loads 1 + 4 per
+  // 4, so the k = 4096 head dX streams its dot group from L2 a third as
+  // often. A short last group and the rows after the block's last full
+  // tile run dot<JT> row by row. No packing — both operands are read
+  // row-contiguously.
+  const int groups = (n + kNtGroup - 1) / kNtGroup;
+  const int shards = gemm_nt_shards(m, n, k);
   ComputePool::instance().parallel_for(shards, [&](int s) {
-    const int r0 = shard_begin(m, shards, s);
-    const int r1 = shard_begin(m, shards, s + 1);
-    for (int i0 = r0; i0 < r1; i0 += kNtBlock) {
-      const int i1 = std::min(r1, i0 + kNtBlock);
-      for (int j0 = 0; j0 < n; j0 += kNtGroup) {
-        const int jt = std::min(kNtGroup, n - j0);
+    const int c0 = shard_begin(groups, shards, s) * kNtGroup;
+    const int c1 = std::min(n, shard_begin(groups, shards, s + 1) * kNtGroup);
+    for (int i0 = 0; i0 < m; i0 += kNtBlock) {
+      const int i1 = std::min(m, i0 + kNtBlock);
+      for (int j0 = c0; j0 < c1; j0 += kNtGroup) {
+        const int jt = std::min(kNtGroup, c1 - j0);
         const float* bgroup = pb + static_cast<std::size_t>(j0) * k;
-        for (int i = i0; i < i1; ++i)
+        int i = i0;
+        if (jt == kNtGroup)
+          for (; i + kNtRows <= i1; i += kNtRows)
+            t.nt_tile(pa + static_cast<std::size_t>(i) * k, k, bgroup, k, k,
+                      pc + static_cast<std::size_t>(i) * n + j0, n,
+                      accumulate);
+        for (; i < i1; ++i)
           t.dot[jt](pa + static_cast<std::size_t>(i) * k, bgroup, k, k,
                     pc + static_cast<std::size_t>(i) * n + j0, accumulate);
       }

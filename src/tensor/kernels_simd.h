@@ -48,6 +48,12 @@ bool cpu_supports_avx2_fma();
 /// Not an engine option; only tests call it.
 void set_portable_gemm_for_test(bool on);
 
+/// The shape-only shard counts the fast-tier GEMMs split an [m, n] output
+/// into: gemm/gemm_tn/gemm_bias_act_fast over 16-column panels, gemm_nt
+/// over 4-column dot groups (k is the contraction length).
+int gemm_panel_shards(int m, int n, int k);
+int gemm_nt_shards(int m, int n, int k);
+
 /// Fast-tier C = A·B (+ C if accumulate). Bitwise ≡ scalar reference.
 void gemm_fast(const Tensor& a, const Tensor& b, Tensor& c, bool accumulate);
 /// Fast-tier C = Aᵀ·B (+ C). Bitwise ≡ scalar reference.

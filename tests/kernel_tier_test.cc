@@ -99,6 +99,11 @@ void ref_gemm_nt(const Tensor& a, const Tensor& b, Tensor& c, bool acc) {
     }
 }
 
+void ref_add_bias(Tensor& y, const Tensor& bias) {
+  for (int r = 0; r < y.rows(); ++r)
+    for (int c = 0; c < y.cols(); ++c) y.at(r, c) += bias.at(0, c);
+}
+
 void expect_bitwise(const Tensor& got, const Tensor& want) {
   ASSERT_EQ(got.numel(), want.numel());
   for (std::size_t i = 0; i < got.numel(); ++i)
@@ -110,6 +115,23 @@ void expect_bitwise(const Tensor& got, const Tensor& want) {
 const std::tuple<int, int, int> kShapes[] = {
     {1, 1, 1},   {3, 5, 7},    {6, 16, 32},  {13, 48, 33},
     {17, 31, 9}, {48, 64, 96}, {7, 129, 65}, {65, 7, 130}};
+
+/// kShapes plus the fast tier's tile tails: every row count mod 6 (gemm
+/// tiles) and mod 3 (gemm_nt tiles), column counts on both sides of the
+/// 16-wide panel and 4-wide dot-group edges, and k on both sides of the
+/// 8-lane vector edge.
+std::vector<std::tuple<int, int, int>> gemm_shapes() {
+  std::vector<std::tuple<int, int, int>> shapes(std::begin(kShapes),
+                                                std::end(kShapes));
+  for (int m : {1, 2, 3, 4, 5, 7, 13, 32, 49})
+    for (int n : {1, 4, 5, 15, 16, 17, 33})
+      for (int k : {7, 8, 9, 33}) shapes.emplace_back(m, k, n);
+  return shapes;
+}
+
+std::string shape_name(int m, int k, int n) {
+  return std::to_string(m) + "x" + std::to_string(k) + "x" + std::to_string(n);
+}
 
 TEST(KernelTier, DispatchRespectsEnvPinAndPolicy) {
   PolicyGuard guard;
@@ -145,7 +167,7 @@ TEST(KernelTier, DispatchRespectsEnvPinAndPolicy) {
 TEST(KernelTier, GemmBitwiseMatchesReferenceInEveryTier) {
   PolicyGuard guard;
   Rng rng(21);
-  for (auto [m, k, n] : kShapes) {
+  for (auto [m, k, n] : gemm_shapes()) {
     const Tensor a = random_tensor(m, k, rng);
     const Tensor b = random_tensor(k, n, rng);
     for (bool accumulate : {false, true}) {
@@ -153,8 +175,7 @@ TEST(KernelTier, GemmBitwiseMatchesReferenceInEveryTier) {
       Tensor seed = want;  // same starting contents for every tier
       ref_gemm(a, b, want, accumulate);
       for (KernelPolicy p : testable_policies()) {
-        SCOPED_TRACE(std::to_string(m) + "x" + std::to_string(k) + "x" +
-                     std::to_string(n) + (accumulate ? " acc" : "") +
+        SCOPED_TRACE(shape_name(m, k, n) + (accumulate ? " acc" : "") +
                      " policy=" + std::to_string(static_cast<int>(p)));
         set_kernel_policy(p);
         Tensor c = seed;
@@ -168,7 +189,7 @@ TEST(KernelTier, GemmBitwiseMatchesReferenceInEveryTier) {
 TEST(KernelTier, GemmTnBitwiseMatchesReferenceInEveryTier) {
   PolicyGuard guard;
   Rng rng(22);
-  for (auto [m, k, n] : kShapes) {
+  for (auto [m, k, n] : gemm_shapes()) {
     const Tensor a = random_tensor(k, m, rng);  // stores Aᵀ
     const Tensor b = random_tensor(k, n, rng);
     for (bool accumulate : {false, true}) {
@@ -176,8 +197,7 @@ TEST(KernelTier, GemmTnBitwiseMatchesReferenceInEveryTier) {
       Tensor seed = want;
       ref_gemm_tn(a, b, want, accumulate);
       for (KernelPolicy p : testable_policies()) {
-        SCOPED_TRACE(std::to_string(m) + "x" + std::to_string(k) + "x" +
-                     std::to_string(n) + (accumulate ? " acc" : ""));
+        SCOPED_TRACE(shape_name(m, k, n) + (accumulate ? " acc" : ""));
         set_kernel_policy(p);
         Tensor c = seed;
         gemm_tn(a, b, c, accumulate);
@@ -218,41 +238,56 @@ TEST(KernelTier, GemmNtRowsAreBitwiseStableInRowCount) {
   // The decode contract: a [1, k] query row must produce bitwise the same
   // scores whether computed alone (decode_step) or as one row of the full
   // [m, k] forward — in every tier, the per-element result depends only on
-  // k and the data, never on m or the shard split.
+  // k and the data, never on m, the tile the row lands in or the shard
+  // split. An M = 1 call never fills a multi-row tile, so this also pins
+  // every tile and tail path of the full-height call to the single-row dot.
   PolicyGuard guard;
   Rng rng(24);
-  const int m = 37, k = 48, n = 29;
-  const Tensor a = random_tensor(m, k, rng);
-  const Tensor b = random_tensor(n, k, rng);
-  for (KernelPolicy p : testable_policies()) {
-    set_kernel_policy(p);
-    Tensor full(m, n);
-    gemm_nt(a, b, full, /*accumulate=*/false);
-    for (int i : {0, 5, 36}) {
-      Tensor arow(1, k);
-      for (int l = 0; l < k; ++l) arow.at(0, l) = a.at(i, l);
-      Tensor crow(1, n);
-      gemm_nt(arow, b, crow, /*accumulate=*/false);
-      for (int j = 0; j < n; ++j)
-        ASSERT_EQ(crow.at(0, j), full.at(i, j)) << "row " << i << " col " << j;
+  for (auto [m, k, n] : gemm_shapes()) {
+    const Tensor a = random_tensor(m, k, rng);
+    const Tensor b = random_tensor(n, k, rng);  // stores Bᵀ
+    for (bool accumulate : {false, true}) {
+      const Tensor seed = random_tensor(m, n, rng, 0.5f);
+      for (KernelPolicy p : testable_policies()) {
+        SCOPED_TRACE(shape_name(m, k, n) + (accumulate ? " acc" : "") +
+                     " policy=" + std::to_string(static_cast<int>(p)));
+        set_kernel_policy(p);
+        Tensor full = seed;
+        gemm_nt(a, b, full, accumulate);
+        for (int i = 0; i < m; ++i) {
+          Tensor arow(1, k), crow(1, n);
+          for (int l = 0; l < k; ++l) arow.at(0, l) = a.at(i, l);
+          for (int j = 0; j < n; ++j) crow.at(0, j) = seed.at(i, j);
+          gemm_nt(arow, b, crow, accumulate);
+          for (int j = 0; j < n; ++j)
+            ASSERT_EQ(crow.at(0, j), full.at(i, j))
+                << "row " << i << " col " << j;
+        }
+      }
     }
   }
 }
 
 TEST(KernelTier, FusedBiasGeluBitwiseMatchesUnfused) {
+  // y bitwise against the reference and the unfused passes, g bitwise
+  // against the tier's own gelu_forward of that y.
   PolicyGuard guard;
   Rng rng(25);
-  for (auto [m, k, n] : kShapes) {
+  for (auto [m, k, n] : gemm_shapes()) {
     const Tensor x = random_tensor(m, k, rng);
     const Tensor w = random_tensor(k, n, rng);
     const Tensor bias = random_tensor(1, n, rng, 0.5f);
+    Tensor ref_y(m, n);
+    ref_gemm(x, w, ref_y, /*acc=*/false);
+    ref_add_bias(ref_y, bias);
     for (KernelPolicy p : testable_policies()) {
-      SCOPED_TRACE(std::to_string(m) + "x" + std::to_string(k) + "x" +
-                   std::to_string(n));
+      SCOPED_TRACE(shape_name(m, k, n) + " policy=" +
+                   std::to_string(static_cast<int>(p)));
       set_kernel_policy(p);
       Tensor want_y(m, n);
       gemm(x, w, want_y);
       add_bias(want_y, bias);
+      expect_bitwise(want_y, ref_y);
       Tensor want_g(m, n);
       gelu_forward(want_y, want_g);
 
@@ -269,11 +304,6 @@ TEST(KernelTier, FusedBiasGeluBitwiseMatchesUnfused) {
 }
 
 // ---- Non-GEMM ops (serial replicas of the scalar reference tier) ---------
-
-void ref_add_bias(Tensor& y, const Tensor& bias) {
-  for (int r = 0; r < y.rows(); ++r)
-    for (int c = 0; c < y.cols(); ++c) y.at(r, c) += bias.at(0, c);
-}
 
 void ref_bias_backward(const Tensor& dy, Tensor& dbias) {
   for (int r = 0; r < dy.rows(); ++r)
@@ -673,31 +703,37 @@ TEST(KernelTier, PooledNonGemmOpsBitwiseMatchSerialInEveryTier) {
 }
 
 TEST(KernelTier, PooledShardsBitwiseMatchSerialInEveryTier) {
-  // Shard-split independence of the fast tier (packed panels are built on
-  // the calling thread; helpers only consume them). Shapes large enough
-  // that plan_shards genuinely splits at the default grain.
+  // Shard-split independence of every GEMM entry point. In the fast tier
+  // each shard owns a run of output columns and packs its own B panels on
+  // whichever thread runs it, so helpers and the caller pack concurrently
+  // into their own workspaces. The shape splits into several column
+  // shards at the default grain.
   PolicyGuard guard;
   Rng rng(26);
-  const Tensor a = random_tensor(130, 70, rng);
-  const Tensor b = random_tensor(70, 90, rng);
-  const Tensor bt = random_tensor(90, 70, rng);
-  const Tensor at = random_tensor(70, 130, rng);
+  const int m = 130, k = 70, n = 90;
+  ASSERT_GE(simd::gemm_panel_shards(m, n, k), 2);
+  ASSERT_GE(simd::gemm_nt_shards(m, n, k), 2);
+  const Tensor a = random_tensor(m, k, rng);
+  const Tensor b = random_tensor(k, n, rng);
+  const Tensor bt = random_tensor(n, k, rng);
+  const Tensor at = random_tensor(k, m, rng);
+  const Tensor bias = random_tensor(1, n, rng, 0.5f);
   for (KernelPolicy p : testable_policies()) {
     set_kernel_policy(p);
+    Tensor c[2][5];
+    for (int h : {0, 1}) {
+      ComputePool::instance().set_helpers(h == 0 ? 0 : 4);
+      for (Tensor& t : c[h]) t = Tensor(m, n);
+      gemm(a, b, c[h][0]);
+      gemm_tn(at, b, c[h][1]);
+      gemm_nt(a, bt, c[h][2]);
+      gemm_bias_gelu(a, b, bias, c[h][3], c[h][4]);
+    }
     ComputePool::instance().set_helpers(0);
-    Tensor c1(130, 90), c2(130, 90), c3(130, 90);
-    gemm(a, b, c1);
-    gemm_tn(at, b, c2);
-    gemm_nt(a, bt, c3);
-    ComputePool::instance().set_helpers(4);
-    Tensor d1(130, 90), d2(130, 90), d3(130, 90);
-    gemm(a, b, d1);
-    gemm_tn(at, b, d2);
-    gemm_nt(a, bt, d3);
-    ComputePool::instance().set_helpers(0);
-    expect_bitwise(d1, c1);
-    expect_bitwise(d2, c2);
-    expect_bitwise(d3, c3);
+    for (int i = 0; i < 5; ++i) {
+      SCOPED_TRACE("output " + std::to_string(i));
+      expect_bitwise(c[1][i], c[0][i]);
+    }
   }
 }
 
@@ -712,21 +748,16 @@ struct PortableGemmGuard {
   ~PortableGemmGuard() { simd::set_portable_gemm_for_test(false); }
 };
 
-/// kShapes plus the forward GEMMs of the benchmark model (hidden 128,
+/// gemm_shapes plus the forward GEMMs of the benchmark model (hidden 128,
 /// vocab 4096) at M = 4 (decode), 32 (train) and 128 (serve) rows: the
 /// attention projection, qkv (3h), MLP up (4h) and down, and the LM head.
 std::vector<std::tuple<int, int, int>> portable_shapes() {
-  std::vector<std::tuple<int, int, int>> shapes(std::begin(kShapes),
-                                                std::end(kShapes));
+  std::vector<std::tuple<int, int, int>> shapes = gemm_shapes();
   for (int m : {4, 32, 128})
     for (auto [k, n] : {std::pair{128, 128}, {128, 384}, {128, 512},
                         {512, 128}, {128, 4096}})
       shapes.emplace_back(m, k, n);
   return shapes;
-}
-
-std::string shape_name(int m, int k, int n) {
-  return std::to_string(m) + "x" + std::to_string(k) + "x" + std::to_string(n);
 }
 
 TEST(KernelTier, PortableMirrorGemmAndGemmTnBitwiseMatchReference) {
