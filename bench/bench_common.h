@@ -15,6 +15,7 @@
 #include "core/perf_model.h"
 #include "obs/metrics.h"
 #include "sim/simulate.h"
+#include "support/json.h"
 #include "support/table.h"
 #include "tensor/kernels.h"
 
@@ -49,16 +50,17 @@ class JsonReporter {
            double throughput, double iteration_seconds,
            std::vector<std::pair<std::string, double>> extra = {}) {
     if (!enabled()) return;
-    std::string r = "  {\"bench\": \"" + escape(bench_) + "\", \"name\": \"" +
-                    escape(name) + "\", \"config\": \"" + escape(config) +
+    std::string r = "  {\"bench\": \"" + json::escape(bench_) +
+                    "\", \"name\": \"" + json::escape(name) +
+                    "\", \"config\": \"" + json::escape(config) +
                     "\", \"kernel_policy\": \"" +
-                    escape(kernel_policy_name(kernel_policy())) +
+                    json::escape(kernel_policy_name(kernel_policy())) +
                     "\", \"kernel_tier\": \"" +
-                    escape(kernel_tier_name(active_kernel_tier())) +
+                    json::escape(kernel_tier_name(active_kernel_tier())) +
                     "\", \"throughput\": " + num(throughput) +
                     ", \"iteration_seconds\": " + num(iteration_seconds);
     for (const auto& [k, v] : extra)
-      r += ", \"" + escape(k) + "\": " + num(v);
+      r += ", \"" + json::escape(k) + "\": " + num(v);
     r += "}";
     records_.push_back(std::move(r));
   }
@@ -79,30 +81,6 @@ class JsonReporter {
   }
 
  private:
-  /// Full JSON string escaping: quotes, backslashes and control characters
-  /// (scheme/config names are caller-supplied — a quote or a stray newline
-  /// must not emit an invalid record).
-  static std::string escape(const std::string& s) {
-    std::string out;
-    for (char c : s) {
-      switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        case '\r': out += "\\r"; break;
-        default:
-          if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof buf, "\\u%04x", c);
-            out += buf;
-          } else {
-            out += c;
-          }
-      }
-    }
-    return out;
-  }
   static std::string num(double v) {
     char buf[32];
     std::snprintf(buf, sizeof buf, "%.9g", v);

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# clang-tidy over the checked scope (src/core + src/verify + src/obs,
-# profile in .clang-tidy), restricted to the files changed against
+# clang-tidy over the checked scope (src/core + src/verify + src/obs +
+# src/support, profile in .clang-tidy), restricted to the files changed against
 # origin/main when a merge base exists — a PR lints what it touched; a push
 # to main (or a checkout without origin) lints the whole scope.
 #
@@ -16,13 +16,14 @@ if [[ ! -f "$BUILD_DIR/compile_commands.json" ]]; then
   exit 2
 fi
 
-scope=(src/core/*.cc src/verify/*.cc src/obs/*.cc)
+scope=(src/core/*.cc src/verify/*.cc src/obs/*.cc src/support/*.cc)
 files=()
 base=$(git merge-base HEAD origin/main 2>/dev/null || true)
 if [[ -n "$base" && "$base" != "$(git rev-parse HEAD)" ]]; then
   while IFS= read -r f; do
     [[ -f "$f" ]] && files+=("$f")
-  done < <(git diff --name-only "$base" HEAD -- 'src/core/*.cc' 'src/verify/*.cc' 'src/obs/*.cc')
+  done < <(git diff --name-only "$base" HEAD -- 'src/core/*.cc' 'src/verify/*.cc' 'src/obs/*.cc' \
+    'src/support/*.cc')
   if [[ ${#files[@]} -eq 0 ]]; then
     echo "clang-tidy: no files in the checked scope changed since $base"
     exit 0

@@ -1,13 +1,10 @@
 #include "core/plan_json.h"
 
-#include <cctype>
-#include <map>
-#include <memory>
 #include <sstream>
 
 #include "core/execution_plan.h"
 #include "core/partition.h"
-#include "support/check.h"
+#include "support/json.h"
 
 namespace chimera {
 
@@ -24,9 +21,6 @@ const char* kind_name(OpKind k) {
 }
 
 // ---- writer --------------------------------------------------------------
-// The document holds only integers, booleans and a fixed set of ASCII
-// identifier strings, so serialization needs no escaping; scheme names pass
-// through verbatim (they are library constants, never user input).
 
 void write_int_array(std::ostringstream& os, const std::vector<int>& v) {
   os << '[';
@@ -56,9 +50,10 @@ void write_unit(std::ostringstream& os, const UnitDoc& u) {
 }
 
 void write_op(std::ostringstream& os, const OpDoc& op) {
-  os << "{\"kind\":\"" << op.kind << "\",\"micro\":" << op.micro
-     << ",\"chunk\":" << op.chunk << ",\"stage\":" << op.stage
-     << ",\"pipe\":" << op.pipe << ",\"half_index\":" << op.half_index
+  os << "{\"kind\":\"" << json::escape(op.kind)
+     << "\",\"micro\":" << op.micro << ",\"chunk\":" << op.chunk
+     << ",\"stage\":" << op.stage << ",\"pipe\":" << op.pipe
+     << ",\"half_index\":" << op.half_index
      << ",\"half_count\":" << op.half_count << ",\"deps\":";
   write_pair_array(os, op.deps);
   os << ",\"units\":[";
@@ -69,281 +64,64 @@ void write_op(std::ostringstream& os, const OpDoc& op) {
   os << "]}";
 }
 
-// ---- parser --------------------------------------------------------------
-// Minimal recursive-descent JSON reader covering what the schema uses:
-// objects, arrays, strings (plain ASCII + the standard escapes), 64-bit
-// integers and booleans. Positions are tracked for error messages. Schema
-// extraction below is strict: unknown keys and missing required keys are
-// errors, so a document that parses is a document whose every byte was
-// understood — the round-trip guarantee the verifier's tests pin down.
+// ---- strict schema extraction (support/json.h) ---------------------------
 
-struct JsonValue {
-  enum class Type { kObject, kArray, kString, kInt, kBool } type;
-  std::map<std::string, JsonValue> object;
-  std::vector<JsonValue> array;
-  std::string string;
-  std::int64_t integer = 0;
-  bool boolean = false;
-};
+using T = json::Value::Type;
 
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
-
-  JsonValue parse() {
-    JsonValue v = value();
-    skip_ws();
-    CHIMERA_CHECK_MSG(pos_ == text_.size(),
-                      "trailing garbage at offset " << pos_);
-    return v;
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])))
-      ++pos_;
-  }
-
-  char peek() {
-    skip_ws();
-    CHIMERA_CHECK_MSG(pos_ < text_.size(), "unexpected end of JSON input");
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    CHIMERA_CHECK_MSG(peek() == c, "expected '" << c << "' at offset " << pos_
-                                                << ", got '" << text_[pos_]
-                                                << "'");
-    ++pos_;
-  }
-
-  JsonValue value() {
-    const char c = peek();
-    if (c == '{') return object();
-    if (c == '[') return array();
-    if (c == '"') return string_value();
-    if (c == 't' || c == 'f') return boolean();
-    if (c == '-' || std::isdigit(static_cast<unsigned char>(c)))
-      return integer();
-    CHIMERA_CHECK_MSG(false, "unexpected character '" << c << "' at offset "
-                                                      << pos_);
-  }
-
-  JsonValue object() {
-    JsonValue v;
-    v.type = JsonValue::Type::kObject;
-    expect('{');
-    if (peek() == '}') { ++pos_; return v; }
-    while (true) {
-      JsonValue key = string_value();
-      expect(':');
-      CHIMERA_CHECK_MSG(!v.object.count(key.string),
-                        "duplicate key \"" << key.string << "\"");
-      v.object.emplace(key.string, value());
-      if (peek() == ',') { ++pos_; continue; }
-      expect('}');
-      return v;
-    }
-  }
-
-  JsonValue array() {
-    JsonValue v;
-    v.type = JsonValue::Type::kArray;
-    expect('[');
-    if (peek() == ']') { ++pos_; return v; }
-    while (true) {
-      v.array.push_back(value());
-      if (peek() == ',') { ++pos_; continue; }
-      expect(']');
-      return v;
-    }
-  }
-
-  JsonValue string_value() {
-    JsonValue v;
-    v.type = JsonValue::Type::kString;
-    expect('"');
-    while (true) {
-      CHIMERA_CHECK_MSG(pos_ < text_.size(), "unterminated string");
-      const char c = text_[pos_++];
-      if (c == '"') return v;
-      if (c == '\\') {
-        CHIMERA_CHECK_MSG(pos_ < text_.size(), "unterminated escape");
-        const char e = text_[pos_++];
-        switch (e) {
-          case '"': v.string += '"'; break;
-          case '\\': v.string += '\\'; break;
-          case '/': v.string += '/'; break;
-          case 'n': v.string += '\n'; break;
-          case 't': v.string += '\t'; break;
-          case 'r': v.string += '\r'; break;
-          default:
-            CHIMERA_CHECK_MSG(false, "unsupported escape '\\" << e << "'");
-        }
-      } else {
-        v.string += c;
-      }
-    }
-  }
-
-  JsonValue boolean() {
-    JsonValue v;
-    v.type = JsonValue::Type::kBool;
-    if (text_.compare(pos_, 4, "true") == 0) {
-      v.boolean = true;
-      pos_ += 4;
-    } else if (text_.compare(pos_, 5, "false") == 0) {
-      v.boolean = false;
-      pos_ += 5;
-    } else {
-      CHIMERA_CHECK_MSG(false, "bad literal at offset " << pos_);
-    }
-    return v;
-  }
-
-  JsonValue integer() {
-    JsonValue v;
-    v.type = JsonValue::Type::kInt;
-    std::size_t start = pos_;
-    if (text_[pos_] == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           std::isdigit(static_cast<unsigned char>(text_[pos_])))
-      ++pos_;
-    CHIMERA_CHECK_MSG(pos_ > start + (text_[start] == '-' ? 1u : 0u),
-                      "bad number at offset " << start);
-    // The schema is integer-only; a fraction or exponent here means the
-    // document was not produced by plan_doc_to_json.
-    CHIMERA_CHECK_MSG(pos_ == text_.size() ||
-                          (text_[pos_] != '.' && text_[pos_] != 'e' &&
-                           text_[pos_] != 'E'),
-                      "non-integer number at offset " << start);
-    v.integer = std::stoll(text_.substr(start, pos_ - start));
-    return v;
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
-
-// ---- strict schema extraction -------------------------------------------
-
-/// Tracks which keys of an object were consumed so leftovers can be
-/// rejected: a misspelled field must not silently vanish.
-class ObjectReader {
- public:
-  ObjectReader(const JsonValue& v, const char* what) : v_(v), what_(what) {
-    CHIMERA_CHECK_MSG(v.type == JsonValue::Type::kObject,
-                      what << ": expected an object");
-  }
-
-  const JsonValue& get(const std::string& key, JsonValue::Type type) {
-    auto it = v_.object.find(key);
-    CHIMERA_CHECK_MSG(it != v_.object.end(),
-                      what_ << ": missing key \"" << key << "\"");
-    CHIMERA_CHECK_MSG(it->second.type == type,
-                      what_ << ": key \"" << key << "\" has wrong type");
-    seen_.push_back(key);
-    return it->second;
-  }
-
-  const JsonValue* get_optional(const std::string& key, JsonValue::Type type) {
-    auto it = v_.object.find(key);
-    if (it == v_.object.end()) return nullptr;
-    CHIMERA_CHECK_MSG(it->second.type == type,
-                      what_ << ": key \"" << key << "\" has wrong type");
-    seen_.push_back(key);
-    return &it->second;
-  }
-
-  std::int64_t get_int(const std::string& key) {
-    return get(key, JsonValue::Type::kInt).integer;
-  }
-  bool get_bool(const std::string& key) {
-    return get(key, JsonValue::Type::kBool).boolean;
-  }
-  std::string get_string(const std::string& key) {
-    return get(key, JsonValue::Type::kString).string;
-  }
-
-  void finish() {
-    for (const auto& [key, value] : v_.object) {
-      (void)value;
-      bool used = false;
-      for (const auto& s : seen_) used = used || s == key;
-      CHIMERA_CHECK_MSG(used, what_ << ": unknown key \"" << key << "\"");
-    }
-  }
-
- private:
-  const JsonValue& v_;
-  const char* what_;
-  std::vector<std::string> seen_;
-};
-
-int to_int(const JsonValue& v, const char* what) {
-  CHIMERA_CHECK_MSG(v.type == JsonValue::Type::kInt, what << ": expected int");
-  return static_cast<int>(v.integer);
-}
-
-std::vector<int> read_int_array(const JsonValue& v, const char* what) {
-  CHIMERA_CHECK_MSG(v.type == JsonValue::Type::kArray,
-                    what << ": expected array");
+std::vector<int> read_int_array(const json::Value& v, const std::string& what) {
   std::vector<int> out;
-  out.reserve(v.array.size());
-  for (const JsonValue& e : v.array) out.push_back(to_int(e, what));
+  for (const json::Value& e : json::expect(v, T::kArray, what).array)
+    out.push_back(json::as_int<int>(e, what));
   return out;
 }
 
-std::vector<std::pair<int, int>> read_pair_array(const JsonValue& v,
-                                                 const char* what) {
-  CHIMERA_CHECK_MSG(v.type == JsonValue::Type::kArray,
-                    what << ": expected array");
+std::vector<std::pair<int, int>> read_pair_array(const json::Value& v,
+                                                 const std::string& what) {
   std::vector<std::pair<int, int>> out;
-  out.reserve(v.array.size());
-  for (const JsonValue& e : v.array) {
-    CHIMERA_CHECK_MSG(e.type == JsonValue::Type::kArray && e.array.size() == 2,
-                      what << ": expected [a, b] pairs");
-    out.emplace_back(to_int(e.array[0], what), to_int(e.array[1], what));
+  for (const json::Value& e : json::expect(v, T::kArray, what).array) {
+    const auto& pair = json::expect(e, T::kArray, what).array;
+    CHIMERA_CHECK_MSG(pair.size() == 2, what << ": expected [a, b] pairs");
+    out.emplace_back(json::as_int<int>(pair[0], what),
+                     json::as_int<int>(pair[1], what));
   }
   return out;
 }
 
-UnitDoc read_unit(const JsonValue& v) {
-  ObjectReader r(v, "unit");
+UnitDoc read_unit(const json::Value& v) {
+  json::ObjectReader r(v, "unit");
   UnitDoc u;
-  u.micro = static_cast<int>(r.get_int("micro"));
-  u.half = static_cast<int>(r.get_int("half"));
-  u.halves = static_cast<int>(r.get_int("halves"));
-  u.stash_key = static_cast<long>(r.get_int("stash_key"));
-  u.recv_from = static_cast<int>(r.get_int("recv_from"));
-  u.recv_tag = r.get_int("recv_tag");
-  u.send_to = static_cast<int>(r.get_int("send_to"));
-  u.send_tag = r.get_int("send_tag");
-  u.acquires_stash = r.get_bool("acquires_stash");
-  u.releases_stash = r.get_bool("releases_stash");
-  u.acquires_cache_slot = r.get_bool("acquires_cache_slot");
-  u.releases_cache_slot = r.get_bool("releases_cache_slot");
+  u.micro = r.get_int<int>("micro");
+  u.half = r.get_int<int>("half");
+  u.halves = r.get_int<int>("halves");
+  u.stash_key = r.get_int<long>("stash_key");
+  u.recv_from = r.get_int<int>("recv_from");
+  u.recv_tag = r.get_int<std::int64_t>("recv_tag");
+  u.send_to = r.get_int<int>("send_to");
+  u.send_tag = r.get_int<std::int64_t>("send_tag");
+  u.acquires_stash = r.get("acquires_stash", T::kBool).boolean;
+  u.releases_stash = r.get("releases_stash", T::kBool).boolean;
+  u.acquires_cache_slot = r.get("acquires_cache_slot", T::kBool).boolean;
+  u.releases_cache_slot = r.get("releases_cache_slot", T::kBool).boolean;
   r.finish();
   return u;
 }
 
-OpDoc read_op(const JsonValue& v) {
-  ObjectReader r(v, "op");
+OpDoc read_op(const json::Value& v) {
+  json::ObjectReader r(v, "op");
   OpDoc op;
-  op.kind = r.get_string("kind");
+  op.kind = r.get("kind", T::kString).string;
   CHIMERA_CHECK_MSG(op.kind == "forward" || op.kind == "backward" ||
                         op.kind == "allreduce_begin" ||
                         op.kind == "allreduce_wait",
                     "op: unknown kind \"" << op.kind << "\"");
-  op.micro = static_cast<int>(r.get_int("micro"));
-  op.chunk = static_cast<int>(r.get_int("chunk"));
-  op.stage = static_cast<int>(r.get_int("stage"));
-  op.pipe = static_cast<int>(r.get_int("pipe"));
-  op.half_index = static_cast<int>(r.get_int("half_index"));
-  op.half_count = static_cast<int>(r.get_int("half_count"));
-  op.deps = read_pair_array(r.get("deps", JsonValue::Type::kArray), "op.deps");
-  for (const JsonValue& u : r.get("units", JsonValue::Type::kArray).array)
+  op.micro = r.get_int<int>("micro");
+  op.chunk = r.get_int<int>("chunk");
+  op.stage = r.get_int<int>("stage");
+  op.pipe = r.get_int<int>("pipe");
+  op.half_index = r.get_int<int>("half_index");
+  op.half_count = r.get_int<int>("half_count");
+  op.deps = read_pair_array(r.get("deps", T::kArray), "op.deps");
+  for (const json::Value& u : r.get("units", T::kArray).array)
     op.units.push_back(read_unit(u));
   r.finish();
   return op;
@@ -432,8 +210,8 @@ PlanDoc make_plan_doc(const ExecutionPlan& plan, const Partition* partition,
 std::string plan_doc_to_json(const PlanDoc& doc) {
   std::ostringstream os;
   os << "{\n";
-  os << "\"format\":\"" << doc.format << "\",\n";
-  os << "\"scheme\":\"" << doc.scheme << "\",\n";
+  os << "\"format\":\"" << json::escape(doc.format) << "\",\n";
+  os << "\"scheme\":\"" << json::escape(doc.scheme) << "\",\n";
   os << "\"depth\":" << doc.depth << ",\n";
   os << "\"num_micro\":" << doc.num_micro << ",\n";
   os << "\"num_pipes\":" << doc.num_pipes << ",\n";
@@ -489,61 +267,56 @@ std::string plan_to_json(const ExecutionPlan& plan, const Partition* partition,
   return plan_doc_to_json(make_plan_doc(plan, partition, kv));
 }
 
-PlanDoc plan_from_json(const std::string& json) {
-  JsonValue root = JsonParser(json).parse();
-  ObjectReader r(root, "plan");
+PlanDoc plan_from_json(const std::string& text) {
+  const json::Value root = json::parse(text);
+  json::ObjectReader r(root, "plan");
   PlanDoc doc;
-  doc.format = r.get_string("format");
+  doc.format = r.get("format", T::kString).string;
   CHIMERA_CHECK_MSG(doc.format == "chimera-plan-v1",
                     "unsupported plan format \"" << doc.format << "\"");
-  doc.scheme = r.get_string("scheme");
-  doc.depth = static_cast<int>(r.get_int("depth"));
-  doc.num_micro = static_cast<int>(r.get_int("num_micro"));
-  doc.num_pipes = static_cast<int>(r.get_int("num_pipes"));
-  doc.synchronous = r.get_bool("synchronous");
-  doc.forward_only = r.get_bool("forward_only");
-  doc.decode = r.get_bool("decode");
-  for (const JsonValue& row :
-       r.get("stage_worker", JsonValue::Type::kArray).array)
+  doc.scheme = r.get("scheme", T::kString).string;
+  doc.depth = r.get_int<int>("depth");
+  doc.num_micro = r.get_int<int>("num_micro");
+  doc.num_pipes = r.get_int<int>("num_pipes");
+  doc.synchronous = r.get("synchronous", T::kBool).boolean;
+  doc.forward_only = r.get("forward_only", T::kBool).boolean;
+  doc.decode = r.get("decode", T::kBool).boolean;
+  for (const json::Value& row : r.get("stage_worker", T::kArray).array)
     doc.stage_worker.push_back(read_int_array(row, "stage_worker"));
-  doc.pipe_of_micro = read_int_array(
-      r.get("pipe_of_micro", JsonValue::Type::kArray), "pipe_of_micro");
+  doc.pipe_of_micro =
+      read_int_array(r.get("pipe_of_micro", T::kArray), "pipe_of_micro");
   doc.claimed_max_inflight =
-      read_int_array(r.get("claimed_max_inflight", JsonValue::Type::kArray),
+      read_int_array(r.get("claimed_max_inflight", T::kArray),
                      "claimed_max_inflight");
   doc.claimed_cache_bindings =
-      read_int_array(r.get("claimed_cache_bindings", JsonValue::Type::kArray),
+      read_int_array(r.get("claimed_cache_bindings", T::kArray),
                      "claimed_cache_bindings");
-  if (const JsonValue* part =
-          r.get_optional("partition", JsonValue::Type::kObject)) {
-    ObjectReader pr(*part, "partition");
+  if (const json::Value* part = r.find("partition")) {
+    json::ObjectReader pr(*part, "partition");
     doc.has_partition = true;
-    doc.partition.num_layers = static_cast<int>(pr.get_int("num_layers"));
-    doc.partition.ranges = read_pair_array(
-        pr.get("ranges", JsonValue::Type::kArray), "partition.ranges");
+    doc.partition.num_layers = pr.get_int<int>("num_layers");
+    doc.partition.ranges =
+        read_pair_array(pr.get("ranges", T::kArray), "partition.ranges");
     pr.finish();
   }
-  if (const JsonValue* kv =
-          r.get_optional("kv_pages", JsonValue::Type::kObject)) {
-    ObjectReader kr(*kv, "kv_pages");
+  if (const json::Value* kv = r.find("kv_pages")) {
+    json::ObjectReader kr(*kv, "kv_pages");
     doc.has_kv_pages = true;
-    doc.kv_pages.page_size = static_cast<int>(kr.get_int("page_size"));
-    doc.kv_pages.max_seq = static_cast<int>(kr.get_int("max_seq"));
-    doc.kv_pages.max_batch = static_cast<int>(kr.get_int("max_batch"));
-    doc.kv_pages.pages_per_session =
-        static_cast<int>(kr.get_int("pages_per_session"));
-    doc.kv_pages.pool_pages = static_cast<int>(kr.get_int("pool_pages"));
-    doc.kv_pages.claimed_pages = read_int_array(
-        kr.get("claimed_pages", JsonValue::Type::kArray),
-        "kv_pages.claimed_pages");
+    doc.kv_pages.page_size = kr.get_int<int>("page_size");
+    doc.kv_pages.max_seq = kr.get_int<int>("max_seq");
+    doc.kv_pages.max_batch = kr.get_int<int>("max_batch");
+    doc.kv_pages.pages_per_session = kr.get_int<int>("pages_per_session");
+    doc.kv_pages.pool_pages = kr.get_int<int>("pool_pages");
+    doc.kv_pages.claimed_pages =
+        read_int_array(kr.get("claimed_pages", T::kArray),
+                       "kv_pages.claimed_pages");
     kr.finish();
   }
-  for (const JsonValue& row : r.get("workers", JsonValue::Type::kArray).array) {
-    CHIMERA_CHECK_MSG(row.type == JsonValue::Type::kArray,
-                      "workers: expected an array per worker");
+  for (const json::Value& row : r.get("workers", T::kArray).array) {
     std::vector<OpDoc> ops;
-    ops.reserve(row.array.size());
-    for (const JsonValue& op : row.array) ops.push_back(read_op(op));
+    for (const json::Value& op :
+         json::expect(row, T::kArray, "workers[]").array)
+      ops.push_back(read_op(op));
     doc.workers.push_back(std::move(ops));
   }
   r.finish();

@@ -12,9 +12,8 @@
 //
 // PlanDoc is a plain value type mirroring the document one to one; equality
 // is field-wise, so `plan_from_json(plan_to_json(p)) == make_plan_doc(p)`
-// is the round-trip contract (tests/verify_test.cc). The JSON style follows
-// the bench records (bench/bench_common.h): deterministic field order,
-// `%` -free ASCII, one readable line per op.
+// is the round-trip contract (tests/verify_test.cc). Deterministic field
+// order, one line per op, read by the strict support/json.h reader.
 #pragma once
 
 #include <cstdint>

@@ -1,6 +1,7 @@
 #include "obs/report.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <limits>
 #include <map>
@@ -54,17 +55,6 @@ PartitionPolicy partition_from_name(const std::string& name) {
     if (name == partition_policy_name(p)) return p;
   CHIMERA_CHECK_MSG(false, "unknown partition policy \"" << name << '"');
   return PartitionPolicy::kEven;
-}
-
-/// The span kind a training/serving executor records for a plan op.
-EventKind expected_training_kind(OpKind k) {
-  switch (k) {
-    case OpKind::kForward: return EventKind::kForward;
-    case OpKind::kBackward: return EventKind::kBackward;
-    case OpKind::kAllReduceBegin: return EventKind::kAllReduceBegin;
-    case OpKind::kAllReduceWait: return EventKind::kAllReduceWait;
-  }
-  return EventKind::kForward;
 }
 
 /// Rebuilds the schedule the trace was recorded under, replicating the
@@ -122,6 +112,29 @@ std::vector<std::vector<const TraceEvent*>> ops_by_rank(const TraceDoc& doc,
   return ops;
 }
 
+/// Per-rank sorted [t0, t1] of the recv spans. The executors receive a
+/// compute op's inputs inside its span (rt::WorkerExecutor, serving,
+/// decode), and a rank blocked in recv is idle, not busy.
+using Intervals = std::vector<std::pair<double, double>>;
+std::vector<Intervals> recvs_by_rank(const TraceDoc& doc, int num_ranks) {
+  std::vector<Intervals> recvs(num_ranks);
+  for (const TraceEvent& e : doc.events)
+    if (e.kind == EventKind::kRecv && e.worker >= 0 && e.worker < num_ranks)
+      recvs[e.worker].emplace_back(e.t0_us, e.t1_us);
+  for (Intervals& r : recvs) std::sort(r.begin(), r.end());
+  return recvs;
+}
+
+/// An op span's duration less the recv spans its rank recorded inside it.
+double compute_us(const TraceEvent& op, const Intervals& recvs) {
+  double busy = op.t1_us - op.t0_us;
+  for (auto it = std::lower_bound(recvs.begin(), recvs.end(),
+                                  std::pair(op.t0_us, -HUGE_VAL));
+       it != recvs.end() && it->first <= op.t1_us; ++it)
+    if (it->second <= op.t1_us) busy -= it->second - it->first;
+  return busy;
+}
+
 /// The paper's bubble-ratio expression applied to per-rank rows — term
 /// order and operations identical to ReplayResult::bubble_ratio so
 /// measured and predicted ratios are comparable bitwise.
@@ -142,6 +155,7 @@ TraceReport analyze_training(const TraceDoc& doc,
   r.meta = meta;
 
   const auto ops = ops_by_rank(doc, R);
+  const auto recvs = recvs_by_rank(doc, R);
 
   // Iteration count: every rank must hold k complete plan walks.
   int k = -1;
@@ -171,7 +185,7 @@ TraceReport analyze_training(const TraceDoc& doc,
       CHIMERA_CHECK_MSG(e.op_index == oi,
                         "rank " << rank << " span " << i << " carries op_index "
                                 << e.op_index << ", expected " << oi);
-      CHIMERA_CHECK_MSG(e.kind == expected_training_kind(op.kind),
+      CHIMERA_CHECK_MSG(e.kind == op_event_kind(op.kind),
                         "rank " << rank << " op " << oi << " recorded kind \""
                                 << event_kind_name(e.kind)
                                 << "\" mismatching the plan");
@@ -198,7 +212,7 @@ TraceReport analyze_training(const TraceDoc& doc,
         const TraceEvent& e = *ops[rank][i];
         origin = std::min(origin, e.t0_us);
         if (is_compute_kind(e.kind)) {
-          busy += e.t1_us - e.t0_us;
+          busy += compute_us(e, recvs[rank]);
           last = std::max(last, e.t1_us);
         }
       }
@@ -230,7 +244,7 @@ TraceReport analyze_training(const TraceDoc& doc,
     for (std::size_t i = 0; i < ops[rank].size(); ++i) {
       const TraceEvent& e = *ops[rank][i];
       const Op& op = wplan[i % wplan.size()].op;
-      const double dur = e.t1_us - e.t0_us;
+      const double dur = compute_us(e, recvs[rank]);
       if (op.kind == OpKind::kForward) {
         fsum[op.stage] += dur / op.chunk;
         ++fn[op.stage];
@@ -341,6 +355,7 @@ TraceReport analyze_measured(const TraceDoc& doc,
   TraceReport r;
   r.meta = doc.meta;
   const auto ops = ops_by_rank(doc, D);
+  const auto recvs = recvs_by_rank(doc, D);
 
   for (int rank = 0; rank < D; ++rank) {
     const auto& wplan = plan.worker_plan(rank);
@@ -376,7 +391,7 @@ TraceReport analyze_measured(const TraceDoc& doc,
     for (const TraceEvent* e : ops[rank]) {
       origin = std::min(origin, e->t0_us);
       if (is_compute_kind(e->kind)) {
-        busy += e->t1_us - e->t0_us;
+        busy += compute_us(*e, recvs[rank]);
         last = std::max(last, e->t1_us);
         any = true;
       }

@@ -1,14 +1,15 @@
 // Trace analysis: measured-vs-predicted bubble accounting (DESIGN.md §9).
 //
-// analyze_trace() loads a recorded trace (obs/trace_json.h), rebuilds the
-// deployment's schedule / ExecutionPlan / Partition from the trace's own
-// otherData block, and reports:
+// analyze_trace() loads a recorded or simulated trace (obs/trace_json.h),
+// rebuilds the deployment's schedule / ExecutionPlan / Partition from its
+// own otherData block, and reports:
 //
-//  - per-worker measured busy time, bubble time and bubble fraction, with
+//  - per-worker measured busy time (compute spans less the recv waits the
+//    rank recorded inside them), bubble time and bubble fraction, with
 //    the paper's bubble-ratio definition applied to the measured timeline
 //    exactly as ReplayResult::bubble_ratio applies it to the predicted one;
 //  - for training traces, a *predicted* timeline: per-stage forward and
-//    backward costs are inverted from the measured spans (F̂ₛ = mean
+//    backward costs are inverted from the measured busy times (F̂ₛ = mean
 //    dur/chunk, B̂ₛ = mean dur·half_count − recompute·F̂ₛ — the exact
 //    inverse of the replay's op_cost) and fed back through the
 //    dependency-exact replay with comm costs at zero, the compute-only

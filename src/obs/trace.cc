@@ -113,6 +113,16 @@ const char* event_kind_name(EventKind k) {
   return "unknown";
 }
 
+EventKind op_event_kind(OpKind k) {
+  switch (k) {
+    case OpKind::kForward: return EventKind::kForward;
+    case OpKind::kBackward: return EventKind::kBackward;
+    case OpKind::kAllReduceBegin: return EventKind::kAllReduceBegin;
+    case OpKind::kAllReduceWait: return EventKind::kAllReduceWait;
+  }
+  return EventKind::kForward;
+}
+
 bool event_kind_from_name(const std::string& name, EventKind* out) {
   for (int i = 0; i < kEventKindCount; ++i) {
     const EventKind k = static_cast<EventKind>(i);

@@ -1,8 +1,9 @@
 // Runtime tracing: per-thread span recording for the real execution stack
 // (DESIGN.md §9).
 //
-// The schedule-level timeline (sim/trace_export) shows what the replay
-// *predicts*; this recorder shows what the WorkerPool actually did. Every
+// The simulator's trace (sim::engine_trace, same chimera-trace-v1 format)
+// shows what a schedule *should* do; this recorder shows what the
+// WorkerPool actually did, and trace_report reads both. Every
 // instrumented site follows one pattern: an RAII guard (Span / OpSpan) or a
 // one-shot instant() that appends a TraceEvent into a per-thread ring
 // buffer. Contracts:
@@ -41,6 +42,8 @@
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "core/schedule.h"
 
 namespace chimera::obs {
 
@@ -84,6 +87,9 @@ const char* event_kind_name(EventKind k);
 
 /// Inverse of event_kind_name; returns false on unknown names.
 bool event_kind_from_name(const std::string& name, EventKind* out);
+
+/// The span kind that records a training/serving plan op of kind `k`.
+EventKind op_event_kind(OpKind k);
 
 /// Span kinds that correspond 1:1 to ExecutionPlan ops (carry op_index).
 inline bool is_plan_op(EventKind k) {

@@ -1,15 +1,13 @@
 #include "obs/trace_json.h"
 
-#include <cctype>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
-#include <map>
 #include <set>
 #include <sstream>
 
-#include "support/check.h"
+#include "support/json.h"
 
 namespace chimera::obs {
 
@@ -32,36 +30,8 @@ const char* event_category(EventKind k) {
   }
 }
 
-/// %.17g: doubles round-trip bitwise through the decimal form.
-std::string num17(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
-std::string escape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-int event_pid(const TraceEvent& e) { return e.worker + 1; }
+/// 64-bit so that no parsed worker id can overflow the display mapping.
+std::int64_t worker_pid(int worker) { return std::int64_t{worker} + 1; }
 
 void write_args(std::ostringstream& os, const TraceEvent& e) {
   os << "{\"worker\":" << e.worker << ",\"lane\":" << e.lane
@@ -73,293 +43,56 @@ void write_args(std::ostringstream& os, const TraceEvent& e) {
 void write_event(std::ostringstream& os, const TraceEvent& e) {
   os << "{\"name\":\"" << event_kind_name(e.kind) << "\",\"cat\":\""
      << event_category(e.kind) << "\",\"ph\":\""
-     << (is_instant_kind(e.kind) ? "i" : "X") << "\",\"pid\":" << event_pid(e)
-     << ",\"tid\":" << e.lane << ",\"ts\":" << num17(e.t0_us);
+     << (is_instant_kind(e.kind) ? "i" : "X")
+     << "\",\"pid\":" << worker_pid(e.worker) << ",\"tid\":" << e.lane
+     << ",\"ts\":" << json::num17(e.t0_us);
   if (is_instant_kind(e.kind))
     os << ",\"s\":\"t\"";
   else
-    os << ",\"dur\":" << num17(e.t1_us - e.t0_us);
+    os << ",\"dur\":" << json::num17(e.t1_us - e.t0_us);
   os << ",\"args\":";
   write_args(os, e);
   os << '}';
 }
 
-// ---- parser --------------------------------------------------------------
-// Same recursive-descent shape as core/plan_json.cc, extended with doubles
-// (timestamps). Strict: every byte of a document that parses was
-// understood; unknown keys and malformed events throw CheckError.
+// ---- strict extraction (support/json.h) --------------------------------
 
-struct JsonValue {
-  enum class Type { kObject, kArray, kString, kNumber, kBool } type;
-  std::vector<std::pair<std::string, JsonValue>> object;  ///< insertion order
-  std::vector<JsonValue> array;
-  std::string string;
-  double number = 0.0;
-  std::int64_t integer = 0;
-  bool is_integer = false;  ///< lexed without '.', 'e' — exact int64
-  bool boolean = false;
+using T = json::Value::Type;
 
-  const JsonValue* find(const std::string& key) const {
-    for (const auto& [k, v] : object)
-      if (k == key) return &v;
-    return nullptr;
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
-
-  JsonValue parse() {
-    JsonValue v = value();
-    skip_ws();
-    CHIMERA_CHECK_MSG(pos_ == text_.size(),
-                      "trailing garbage at offset " << pos_);
-    return v;
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])))
-      ++pos_;
-  }
-
-  char peek() {
-    skip_ws();
-    CHIMERA_CHECK_MSG(pos_ < text_.size(), "unexpected end of JSON input");
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    CHIMERA_CHECK_MSG(peek() == c, "expected '" << c << "' at offset " << pos_
-                                                << ", got '" << text_[pos_]
-                                                << "'");
-    ++pos_;
-  }
-
-  bool consume(char c) {
-    if (peek() == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  std::string string_body() {
-    expect('"');
-    std::string out;
-    while (true) {
-      CHIMERA_CHECK_MSG(pos_ < text_.size(), "unterminated string");
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c == '\\') {
-        CHIMERA_CHECK_MSG(pos_ < text_.size(), "unterminated escape");
-        const char e = text_[pos_++];
-        switch (e) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'r': out += '\r'; break;
-          case 'u': {
-            CHIMERA_CHECK_MSG(pos_ + 4 <= text_.size(), "truncated \\u escape");
-            const std::string hex = text_.substr(pos_, 4);
-            pos_ += 4;
-            const long code = std::strtol(hex.c_str(), nullptr, 16);
-            CHIMERA_CHECK_MSG(code >= 0 && code < 0x80,
-                              "only ASCII \\u escapes are supported");
-            out += static_cast<char>(code);
-            break;
-          }
-          default:
-            CHIMERA_CHECK_MSG(false, "unknown escape '\\" << e << "'");
-        }
-      } else {
-        out += c;
-      }
-    }
-  }
-
-  JsonValue value() {
-    const char c = peek();
-    if (c == '{') return object();
-    if (c == '[') return array();
-    if (c == '"') {
-      JsonValue v;
-      v.type = JsonValue::Type::kString;
-      v.string = string_body();
-      return v;
-    }
-    if (c == 't' || c == 'f') return boolean();
-    return number();
-  }
-
-  JsonValue object() {
-    JsonValue v;
-    v.type = JsonValue::Type::kObject;
-    expect('{');
-    if (consume('}')) return v;
-    while (true) {
-      std::string key = string_body();
-      expect(':');
-      for (const auto& [k, unused] : v.object)
-        CHIMERA_CHECK_MSG(k != key, "duplicate key \"" << key << '"');
-      v.object.emplace_back(std::move(key), value());
-      if (consume('}')) return v;
-      expect(',');
-    }
-  }
-
-  JsonValue array() {
-    JsonValue v;
-    v.type = JsonValue::Type::kArray;
-    expect('[');
-    if (consume(']')) return v;
-    while (true) {
-      v.array.push_back(value());
-      if (consume(']')) return v;
-      expect(',');
-    }
-  }
-
-  JsonValue boolean() {
-    JsonValue v;
-    v.type = JsonValue::Type::kBool;
-    if (text_.compare(pos_, 4, "true") == 0) {
-      v.boolean = true;
-      pos_ += 4;
-    } else if (text_.compare(pos_, 5, "false") == 0) {
-      v.boolean = false;
-      pos_ += 5;
-    } else {
-      CHIMERA_CHECK_MSG(false, "bad literal at offset " << pos_);
-    }
-    return v;
-  }
-
-  JsonValue number() {
-    const std::size_t start = pos_;
-    if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+'))
-      ++pos_;
-    bool fractional = false;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (std::isdigit(static_cast<unsigned char>(c))) {
-        ++pos_;
-      } else if (c == '.' || c == 'e' || c == 'E' || c == '-' || c == '+') {
-        fractional = fractional || c == '.' || c == 'e' || c == 'E';
-        ++pos_;
-      } else {
-        break;
-      }
-    }
-    CHIMERA_CHECK_MSG(pos_ > start, "expected a number at offset " << start);
-    const std::string body = text_.substr(start, pos_ - start);
-    JsonValue v;
-    v.type = JsonValue::Type::kNumber;
-    char* end = nullptr;
-    v.number = std::strtod(body.c_str(), &end);
-    CHIMERA_CHECK_MSG(end == body.c_str() + body.size(),
-                      "malformed number \"" << body << '"');
-    if (!fractional) {
-      v.is_integer = true;
-      v.integer = std::strtoll(body.c_str(), nullptr, 10);
-    }
-    return v;
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
-
-// ---- strict extraction ---------------------------------------------------
-
-const JsonValue& require(const JsonValue& obj, const char* key,
-                         const char* what) {
-  CHIMERA_CHECK_MSG(obj.type == JsonValue::Type::kObject,
-                    what << " must be an object");
-  const JsonValue* v = obj.find(key);
-  CHIMERA_CHECK_MSG(v != nullptr, what << " is missing key \"" << key << '"');
-  return *v;
-}
-
-void check_keys(const JsonValue& obj, const std::set<std::string>& allowed,
-                const char* what) {
-  for (const auto& [k, unused] : obj.object)
-    CHIMERA_CHECK_MSG(allowed.count(k) != 0,
-                      what << " has unknown key \"" << k << '"');
-}
-
-std::int64_t to_int(const JsonValue& v, const char* what) {
-  CHIMERA_CHECK_MSG(v.type == JsonValue::Type::kNumber && v.is_integer,
-                    what << " must be an integer");
-  return v.integer;
-}
-
-double to_double(const JsonValue& v, const char* what) {
-  CHIMERA_CHECK_MSG(v.type == JsonValue::Type::kNumber,
-                    what << " must be a number");
-  return v.number;
-}
-
-std::string to_string(const JsonValue& v, const char* what) {
-  CHIMERA_CHECK_MSG(v.type == JsonValue::Type::kString,
-                    what << " must be a string");
-  return v.string;
-}
-
-bool to_bool(const JsonValue& v, const char* what) {
-  CHIMERA_CHECK_MSG(v.type == JsonValue::Type::kBool,
-                    what << " must be a boolean");
-  return v.boolean;
-}
-
-TraceEvent read_event(const JsonValue& v) {
-  const std::string ph = to_string(require(v, "ph", "event"), "event.ph");
-  const std::string name = to_string(require(v, "name", "event"), "event.name");
+TraceEvent read_event(json::ObjectReader& r, const std::string& ph) {
+  const std::string& name = r.get("name", T::kString).string;
   TraceEvent e;
   CHIMERA_CHECK_MSG(event_kind_from_name(name, &e.kind),
                     "unknown event name \"" << name << '"');
   const bool inst = is_instant_kind(e.kind);
   CHIMERA_CHECK_MSG(ph == (inst ? "i" : "X"),
-                    "event \"" << name << "\" has ph \"" << ph
-                               << "\" but kind expects \""
-                               << (inst ? "i" : "X") << '"');
-  std::set<std::string> allowed = {"name", "cat",  "ph",  "pid",
-                                   "tid",  "ts",   "args"};
-  allowed.insert(inst ? "s" : "dur");
-  check_keys(v, allowed, "event");
-  CHIMERA_CHECK_MSG(to_string(require(v, "cat", "event"), "event.cat") ==
-                        event_category(e.kind),
+                    "event \"" << name << "\" has ph \"" << ph << '"');
+  CHIMERA_CHECK_MSG(r.get("cat", T::kString).string == event_category(e.kind),
                     "event \"" << name << "\" has a mismatched category");
   if (inst)
-    CHIMERA_CHECK_MSG(to_string(require(v, "s", "event"), "event.s") == "t",
+    CHIMERA_CHECK_MSG(r.get("s", T::kString).string == "t",
                       "instant scope must be \"t\"");
 
-  const JsonValue& args = require(v, "args", "event");
-  check_keys(args, {"worker", "lane", "seq", "micro", "stage", "pipe",
-                    "op_index", "tag"},
-             "event.args");
-  e.worker = static_cast<int>(to_int(require(args, "worker", "args"), "worker"));
-  e.lane = static_cast<int>(to_int(require(args, "lane", "args"), "lane"));
-  e.seq = static_cast<std::uint64_t>(to_int(require(args, "seq", "args"), "seq"));
-  e.micro = static_cast<int>(to_int(require(args, "micro", "args"), "micro"));
-  e.stage = static_cast<int>(to_int(require(args, "stage", "args"), "stage"));
-  e.pipe = static_cast<int>(to_int(require(args, "pipe", "args"), "pipe"));
-  e.op_index =
-      static_cast<int>(to_int(require(args, "op_index", "args"), "op_index"));
-  e.tag = static_cast<long>(to_int(require(args, "tag", "args"), "tag"));
+  json::ObjectReader args(r.get("args", T::kObject), "event.args");
+  e.worker = args.get_int<int>("worker");
+  e.lane = args.get_int<int>("lane");
+  e.seq = args.get_int<std::uint64_t>("seq");
+  e.micro = args.get_int<int>("micro");
+  e.stage = args.get_int<int>("stage");
+  e.pipe = args.get_int<int>("pipe");
+  e.op_index = args.get_int<int>("op_index");
+  e.tag = args.get_int<long>("tag");
+  args.finish();
 
-  e.t0_us = to_double(require(v, "ts", "event"), "event.ts");
-  e.t1_us = inst ? e.t0_us
-                 : e.t0_us + to_double(require(v, "dur", "event"), "event.dur");
+  e.t0_us = r.get("ts", T::kNumber).number;
+  e.t1_us = inst ? e.t0_us : e.t0_us + r.get("dur", T::kNumber).number;
+  CHIMERA_CHECK_MSG(std::isfinite(e.t1_us), "event end time overflows");
   // pid/tid are derived display fields: cross-check, never trust.
-  CHIMERA_CHECK_MSG(to_int(require(v, "pid", "event"), "pid") == e.worker + 1,
+  CHIMERA_CHECK_MSG(r.get_int<std::int64_t>("pid") == worker_pid(e.worker),
                     "event pid disagrees with args.worker");
-  CHIMERA_CHECK_MSG(to_int(require(v, "tid", "event"), "tid") == e.lane,
+  CHIMERA_CHECK_MSG(r.get_int<std::int64_t>("tid") == e.lane,
                     "event tid disagrees with args.lane");
+  r.finish();
   return e;
 }
 
@@ -380,8 +113,8 @@ std::string trace_doc_to_json(const TraceDoc& doc) {
   os << "  {\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"args\":"
         "{\"name\":\"engine\"}}";
   for (int w : workers)
-    os << ",\n  {\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << w + 1
-       << ",\"args\":{\"name\":\"worker " << w << "\"}}";
+    os << ",\n  {\"name\":\"process_name\",\"ph\":\"M\",\"pid\":"
+       << worker_pid(w) << ",\"args\":{\"name\":\"worker " << w << "\"}}";
   for (int l : helper_lanes)
     os << ",\n  {\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":" << l
        << ",\"args\":{\"name\":\"helper " << l - 1 << "\"}}";
@@ -391,75 +124,59 @@ std::string trace_doc_to_json(const TraceDoc& doc) {
   }
   os << "\n],\n\"displayTimeUnit\": \"ms\",\n\"otherData\": {";
   const TraceMeta& m = doc.meta;
-  os << "\"format\":\"" << escape(doc.format) << "\",\"workload\":\""
-     << escape(m.workload) << "\",\"scheme\":\"" << escape(m.scheme)
+  os << "\"format\":\"" << json::escape(doc.format) << "\",\"workload\":\""
+     << json::escape(m.workload) << "\",\"scheme\":\"" << json::escape(m.scheme)
      << "\",\"depth\":" << m.depth << ",\"num_micro\":" << m.num_micro
-     << ",\"pipes_f\":" << m.pipes_f << ",\"scale\":\"" << escape(m.scale)
-     << "\",\"sync\":\"" << escape(m.sync)
+     << ",\"pipes_f\":" << m.pipes_f << ",\"scale\":\"" << json::escape(m.scale)
+     << "\",\"sync\":\"" << json::escape(m.sync)
      << "\",\"recompute\":" << (m.recompute ? "true" : "false")
      << ",\"data_parallel\":" << m.data_parallel
      << ",\"micro_batch\":" << m.micro_batch << ",\"partition\":\""
-     << escape(m.partition) << "\",\"hidden\":" << m.hidden
+     << json::escape(m.partition) << "\",\"hidden\":" << m.hidden
      << ",\"heads\":" << m.heads << ",\"layers\":" << m.layers
      << ",\"seq\":" << m.seq << ",\"vocab\":" << m.vocab
      << ",\"causal\":" << (m.causal ? "true" : "false") << "}}\n";
   return os.str();
 }
 
-TraceDoc trace_from_json(const std::string& json) {
-  const JsonValue root = JsonParser(json).parse();
-  check_keys(root, {"traceEvents", "displayTimeUnit", "otherData"}, "trace");
-  CHIMERA_CHECK_MSG(to_string(require(root, "displayTimeUnit", "trace"),
-                              "displayTimeUnit") == "ms",
+TraceDoc trace_from_json(const std::string& text) {
+  const json::Value root = json::parse(text);
+  json::ObjectReader r(root, "trace");
+  CHIMERA_CHECK_MSG(r.get("displayTimeUnit", T::kString).string == "ms",
                     "displayTimeUnit must be \"ms\"");
 
   TraceDoc doc;
-  const JsonValue& other = require(root, "otherData", "trace");
-  check_keys(other,
-             {"format", "workload", "scheme", "depth", "num_micro", "pipes_f",
-              "scale", "sync", "recompute", "data_parallel", "micro_batch",
-              "partition", "hidden", "heads", "layers", "seq", "vocab",
-              "causal"},
-             "otherData");
-  doc.format = to_string(require(other, "format", "otherData"), "format");
+  json::ObjectReader other(r.get("otherData", T::kObject), "otherData");
+  doc.format = other.get("format", T::kString).string;
   CHIMERA_CHECK_MSG(doc.format == "chimera-trace-v1",
                     "unsupported trace format \"" << doc.format << '"');
   TraceMeta& m = doc.meta;
-  m.workload = to_string(require(other, "workload", "otherData"), "workload");
-  m.scheme = to_string(require(other, "scheme", "otherData"), "scheme");
-  m.depth = static_cast<int>(to_int(require(other, "depth", "otherData"), "depth"));
-  m.num_micro = static_cast<int>(
-      to_int(require(other, "num_micro", "otherData"), "num_micro"));
-  m.pipes_f =
-      static_cast<int>(to_int(require(other, "pipes_f", "otherData"), "pipes_f"));
-  m.scale = to_string(require(other, "scale", "otherData"), "scale");
-  m.sync = to_string(require(other, "sync", "otherData"), "sync");
-  m.recompute = to_bool(require(other, "recompute", "otherData"), "recompute");
-  m.data_parallel = static_cast<int>(
-      to_int(require(other, "data_parallel", "otherData"), "data_parallel"));
-  m.micro_batch = static_cast<int>(
-      to_int(require(other, "micro_batch", "otherData"), "micro_batch"));
-  m.partition =
-      to_string(require(other, "partition", "otherData"), "partition");
-  m.hidden =
-      static_cast<int>(to_int(require(other, "hidden", "otherData"), "hidden"));
-  m.heads =
-      static_cast<int>(to_int(require(other, "heads", "otherData"), "heads"));
-  m.layers =
-      static_cast<int>(to_int(require(other, "layers", "otherData"), "layers"));
-  m.seq = static_cast<int>(to_int(require(other, "seq", "otherData"), "seq"));
-  m.vocab =
-      static_cast<int>(to_int(require(other, "vocab", "otherData"), "vocab"));
-  m.causal = to_bool(require(other, "causal", "otherData"), "causal");
+  m.workload = other.get("workload", T::kString).string;
+  m.scheme = other.get("scheme", T::kString).string;
+  m.depth = other.get_int<int>("depth");
+  m.num_micro = other.get_int<int>("num_micro");
+  m.pipes_f = other.get_int<int>("pipes_f");
+  m.scale = other.get("scale", T::kString).string;
+  m.sync = other.get("sync", T::kString).string;
+  m.recompute = other.get("recompute", T::kBool).boolean;
+  m.data_parallel = other.get_int<int>("data_parallel");
+  m.micro_batch = other.get_int<int>("micro_batch");
+  m.partition = other.get("partition", T::kString).string;
+  m.hidden = other.get_int<int>("hidden");
+  m.heads = other.get_int<int>("heads");
+  m.layers = other.get_int<int>("layers");
+  m.seq = other.get_int<int>("seq");
+  m.vocab = other.get_int<int>("vocab");
+  m.causal = other.get("causal", T::kBool).boolean;
+  other.finish();
 
-  const JsonValue& events = require(root, "traceEvents", "trace");
-  CHIMERA_CHECK_MSG(events.type == JsonValue::Type::kArray,
-                    "traceEvents must be an array");
-  for (const JsonValue& ev : events.array) {
-    const std::string ph = to_string(require(ev, "ph", "event"), "event.ph");
+  for (const json::Value& ev : r.get("traceEvents", T::kArray).array) {
+    json::ObjectReader er(ev, "event");
+    const std::string& ph = er.get("ph", T::kString).string;
     if (ph == "M") continue;  // display metadata, regenerated on export
-    doc.events.push_back(read_event(ev));
+    doc.events.push_back(read_event(er, ph));
   }
+  r.finish();
   return doc;
 }
 

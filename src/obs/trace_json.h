@@ -1,5 +1,6 @@
-// Chrome trace-event / Perfetto export of a recorded run, plus the strict
-// parser tools/trace_report and the tests read it back with (DESIGN.md §9).
+// Chrome trace-event / Perfetto export of a recorded or simulated run, plus
+// the strict reader tools/trace_report and the tests load it with
+// (DESIGN.md §9).
 //
 // The document is the standard JSON-object trace format — load it directly
 // in chrome://tracing or ui.perfetto.dev:
@@ -14,11 +15,9 @@
 // exactly — pid/tid are derived display fields it cross-checks, never the
 // source of truth.
 //
-// Like plan_json: deterministic field order, one event per line, %.17g for
-// timestamps (doubles round-trip bitwise), and a strict parser — unknown
-// keys, missing keys or inconsistent ph/name/ts/dur are errors, never
-// silently skipped. TraceDoc equality is field-wise, so
-// `trace_from_json(trace_doc_to_json(d)) == d` is the round-trip contract.
+// Deterministic field order, one event per line, %.17g timestamps, and the
+// strict support/json.h reader: inconsistent ph/name/cat/ts/dur are errors
+// too. `trace_from_json(trace_doc_to_json(d)) == d` is the round trip.
 //
 // The otherData block makes a trace self-contained: it carries the
 // deployment (workload, scheme, D, N, f, scale, sync, recompute, W, B,

@@ -211,4 +211,29 @@ EngineResult run_engine(const PipelineSchedule& schedule,
   return run_engine(ExecutionPlan(schedule), costs);
 }
 
+obs::TraceDoc engine_trace(const ExecutionPlan& plan,
+                           const EngineResult& result,
+                           const obs::TraceMeta& meta) {
+  const PipelineSchedule& s = plan.schedule();
+  CHIMERA_CHECK(result.op_start.size() == static_cast<std::size_t>(s.depth));
+  obs::TraceDoc doc;
+  doc.meta = meta;
+  for (int w = 0; w < s.depth; ++w) {
+    const std::vector<PlannedOp>& ops = plan.worker_plan(w);
+    CHIMERA_CHECK(result.op_start[w].size() == ops.size() &&
+                  result.op_end[w].size() == ops.size());
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      const Op& op = ops[i].op;
+      doc.events.push_back(
+          {.kind = s.decode ? obs::EventKind::kDecodeOp
+                            : obs::op_event_kind(op.kind),
+           .worker = w, .micro = op.micro, .stage = op.stage, .pipe = op.pipe,
+           .op_index = static_cast<int>(i),
+           .t0_us = result.op_start[w][i] * 1e6,
+           .t1_us = result.op_end[w][i] * 1e6, .seq = i});
+    }
+  }
+  return doc;
+}
+
 }  // namespace chimera::sim

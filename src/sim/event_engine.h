@@ -20,6 +20,7 @@
 
 #include "core/execution_plan.h"
 #include "core/schedule.h"
+#include "obs/trace_json.h"
 
 namespace chimera::sim {
 
@@ -71,5 +72,11 @@ EngineResult run_engine(const ExecutionPlan& plan, const EngineCosts& costs);
 
 /// Convenience overload: lowers the schedule onto a fresh ExecutionPlan.
 EngineResult run_engine(const PipelineSchedule& schedule, const EngineCosts& costs);
+
+/// The run as a chimera-trace-v1 document, one plan-op span per op at the
+/// engine's times in µs; `meta` carries the deployment and model shape.
+obs::TraceDoc engine_trace(const ExecutionPlan& plan,
+                           const EngineResult& result,
+                           const obs::TraceMeta& meta);
 
 }  // namespace chimera::sim

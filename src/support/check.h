@@ -36,11 +36,12 @@ namespace detail {
       ::chimera::detail::check_failed(#cond, __FILE__, __LINE__, "");    \
   } while (0)
 
+// `msg` is a `<<` chain, so it cannot be parenthesized.
 #define CHIMERA_CHECK_MSG(cond, msg)                                     \
   do {                                                                   \
     if (!(cond)) {                                                       \
       std::ostringstream chimera_check_os_;                              \
-      chimera_check_os_ << msg;                                          \
+      chimera_check_os_ << msg; /* NOLINT(bugprone-macro-parentheses) */ \
       ::chimera::detail::check_failed(#cond, __FILE__, __LINE__,         \
                                       chimera_check_os_.str());          \
     }                                                                    \

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "core/schedule_analysis.h"
+#include "core/sync_placement.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
 #include "obs/trace.h"
@@ -282,6 +283,31 @@ TEST(ObsJson, SyntheticRoundTripAndStrictParser) {
   EXPECT_THROW(trace_from_json(bad_kind), CheckError);
 }
 
+TEST(ObsJson, RejectsBadEscapesSignsAndOversizedIntegers) {
+  TraceDoc doc;
+  doc.meta.workload = "training";
+  doc.meta.depth = 4;
+  const std::string json = trace_doc_to_json(doc);
+  auto with = [&json](const std::string& from, const std::string& to) {
+    std::string out = json;
+    out.replace(out.find(from), from.size(), to);
+    return out;
+  };
+  EXPECT_EQ(trace_from_json(json), doc);
+  // "\uzzzz" once decoded as a NUL byte.
+  EXPECT_THROW(trace_from_json(with("\"training\"", "\"\\uzzzz\"")),
+               CheckError);
+  // A leading '+' is not JSON.
+  EXPECT_THROW(trace_from_json(with("\"depth\":4", "\"depth\":+4")),
+               CheckError);
+  // Out-of-range integers once narrowed silently (depth read back as -1).
+  EXPECT_THROW(
+      trace_from_json(with("\"depth\":4", "\"depth\":99999999999999999999")),
+      CheckError);
+  EXPECT_THROW(trace_from_json(with("\"depth\":4", "\"depth\":4294967300")),
+               CheckError);
+}
+
 // ------------------------------------------------------------------ 6 ----
 
 TEST(ObsHistogram, MatchesHistoricalPercentileSemantics) {
@@ -423,6 +449,71 @@ TEST(ObsReport, ArmedPlanTimesReproduceReplayBitwise) {
     bad.events.erase(it);
     EXPECT_FALSE(check_trace(bad).empty());
   }
+}
+
+TEST(ObsReport, RecvNestedInComputeSpanIsNotBusy) {
+  ObsGuard guard;
+  const nn::SmallModelConfig model = tiny_model();
+  const ScheduleConfig sc{2, 1, 1, ScaleMethod::kDirect};
+  const PipelineSchedule s = with_gradient_sync(
+      build_schedule(Scheme::kGPipe, sc), SyncPolicy::kAtEnd);
+  const ExecutionPlan plan(s);
+
+  // Per rank, in plan order (forward, backward, allreduce begin, wait):
+  // op span [t0, t1] with a recv span [t0, recv_end] nested when
+  // recv_end > t0. Rank 1's forward waits 10 us for rank 0's activation,
+  // rank 0's backward waits 20 us for rank 1's gradient.
+  struct Stamp {
+    double t0, t1, recv_end;
+  };
+  const std::vector<std::vector<Stamp>> stamps = {
+      {{0, 10, 0}, {20, 60, 40}, {60, 60, 0}, {60, 60, 0}},
+      {{0, 20, 10}, {20, 40, 0}, {40, 40, 0}, {40, 60, 0}}};
+  double now = 0.0;
+  set_clock([&now] { return now; });
+  set_enabled(true);
+  for (int w = 0; w < sc.depth; ++w) {
+    ASSERT_EQ(plan.worker_plan(w).size(), stamps[w].size());
+    for (std::size_t i = 0; i < stamps[w].size(); ++i) {
+      const Op& op = plan.worker_plan(w)[i].op;
+      const Stamp& st = stamps[w][i];
+      ASSERT_EQ(op.is_compute(), i < 2);
+      now = st.t0;
+      OpSpan span(op_event_kind(op.kind), w, w, static_cast<int>(i), op.micro,
+                  op.stage, op.pipe);
+      if (st.recv_end > st.t0) {
+        Span recv(EventKind::kRecv, w, op.micro, op.stage, op.pipe);
+        now = st.recv_end;
+      }
+      now = st.t1;
+    }
+  }
+  set_enabled(false);
+
+  TraceDoc doc;
+  doc.meta.workload = "training";
+  doc.meta.scheme = scheme_name(Scheme::kGPipe);
+  doc.meta.depth = sc.depth;
+  doc.meta.num_micro = sc.num_micro;
+  doc.meta.sync = sync_policy_name(SyncPolicy::kAtEnd);
+  doc.meta.hidden = model.hidden;
+  doc.meta.heads = model.heads;
+  doc.meta.layers = model.layers;
+  doc.meta.seq = model.seq;
+  doc.meta.vocab = model.vocab;
+  doc.events = collect();
+
+  const TraceReport rep = analyze_trace(doc);
+  EXPECT_EQ(rep.compute_makespan_us, 60.0);
+  ASSERT_EQ(rep.workers.size(), 2u);
+  EXPECT_EQ(rep.workers[0].busy_us, 30.0);  // 10 + (40 - 20 recv)
+  EXPECT_EQ(rep.workers[1].busy_us, 30.0);  // (20 - 10 recv) + 20
+  EXPECT_EQ(rep.measured_bubble_ratio, 0.5);
+  // The per-stage cost inversion reads the same busy times.
+  ASSERT_EQ(rep.model.size(), 4u);
+  for (const OpModelRow& row : rep.model)
+    EXPECT_EQ(row.measured_us, row.kind == EventKind::kForward ? 10.0 : 20.0)
+        << event_kind_name(row.kind) << " stage " << row.stage;
 }
 
 }  // namespace

@@ -1,13 +1,20 @@
-// Chrome-trace export tests: event counts, interval consistency with the
-// engine result, metadata rows, and syntactic sanity of the JSON.
+// Simulator trace export tests: the engine's run becomes a chimera-trace-v1
+// document with one plan-op span per op, stamped with the engine's times,
+// that round-trips through the strict parser and that trace_report's
+// analysis reads like a measured trace.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
+#include <map>
 
 #include "core/sync_placement.h"
+#include "obs/report.h"
+#include "obs/trace_json.h"
 #include "sim/event_engine.h"
-#include "sim/trace_export.h"
 
 namespace chimera::sim {
 namespace {
@@ -20,60 +27,106 @@ EngineCosts unit_costs(int depth) {
   return c;
 }
 
-std::size_t count_occurrences(const std::string& hay, const std::string& needle) {
+/// Training metadata for `s`, with the small model shape trace_report
+/// needs to rebuild the partition.
+obs::TraceMeta training_meta(Scheme scheme, const ScheduleConfig& sc,
+                             SyncPolicy sync) {
+  obs::TraceMeta m;
+  m.workload = "training";
+  m.scheme = scheme_name(scheme);
+  m.depth = sc.depth;
+  m.num_micro = sc.num_micro;
+  m.pipes_f = sc.pipes_f;
+  m.scale = scale_method_name(sc.scale);
+  m.sync = sync_policy_name(sync);
+  m.hidden = 32;
+  m.heads = 4;
+  m.layers = 8;
+  m.seq = 8;
+  m.vocab = 97;
+  return m;
+}
+
+struct SimRun {
+  PipelineSchedule schedule;
+  EngineResult result;
+  obs::TraceDoc doc;
+};
+
+SimRun simulate(Scheme scheme, const ScheduleConfig& sc, SyncPolicy sync) {
+  SimRun run;
+  run.schedule = with_gradient_sync(build_schedule(scheme, sc), sync);
+  const ExecutionPlan plan(run.schedule);
+  run.result = run_engine(plan, unit_costs(sc.depth));
+  run.doc = engine_trace(plan, run.result, training_meta(scheme, sc, sync));
+  return run;
+}
+
+TEST(SimTrace, OneSpanPerOpAtTheEngineTimes) {
+  const SimRun run = simulate(
+      Scheme::kChimera, {4, 4, 1, ScaleMethod::kDirect}, SyncPolicy::kEagerOpt);
+  const PipelineSchedule& s = run.schedule;
+  ASSERT_EQ(run.doc.events.size(), s.total_ops());
   std::size_t n = 0;
-  for (std::size_t pos = hay.find(needle); pos != std::string::npos;
-       pos = hay.find(needle, pos + needle.size()))
-    ++n;
-  return n;
+  for (int w = 0; w < s.depth; ++w)
+    for (std::size_t i = 0; i < s.worker_ops[w].size(); ++i, ++n) {
+      const obs::TraceEvent& e = run.doc.events[n];
+      const Op& op = s.worker_ops[w][i];
+      EXPECT_EQ(e.kind, obs::op_event_kind(op.kind));
+      EXPECT_EQ(e.worker, w);
+      EXPECT_EQ(e.lane, 0);
+      EXPECT_EQ(e.op_index, static_cast<int>(i));
+      EXPECT_EQ(e.micro, op.micro);
+      EXPECT_EQ(e.stage, op.stage);
+      EXPECT_EQ(e.pipe, op.pipe);
+      EXPECT_EQ(e.t0_us, run.result.op_start[w][i] * 1e6);
+      EXPECT_EQ(e.t1_us, run.result.op_end[w][i] * 1e6);
+    }
+  EXPECT_TRUE(std::is_sorted(run.doc.events.begin(), run.doc.events.end(),
+                             obs::trace_event_before));
 }
 
-TEST(TraceExport, OneDurationEventPerOpPlusWorkerMetadata) {
-  const PipelineSchedule s = with_gradient_sync(
-      build_schedule(Scheme::kChimera, {4, 4, 1, ScaleMethod::kDirect}),
-      SyncPolicy::kEagerOpt);
-  const EngineResult r = run_engine(s, unit_costs(4));
-  const std::string json = chrome_trace_json(s, r);
-  EXPECT_EQ(count_occurrences(json, "\"ph\":\"X\""), s.total_ops());
-  EXPECT_EQ(count_occurrences(json, "\"ph\":\"M\""), 4u);  // one per worker
-  EXPECT_EQ(count_occurrences(json, "\"name\":\"P0\""), 1u);
-  EXPECT_EQ(json.front(), '{');
-  EXPECT_EQ(json.back(), '}');
-  // Balanced braces — a cheap structural check without a JSON parser.
-  long depth = 0;
-  for (char ch : json) {
-    if (ch == '{') ++depth;
-    if (ch == '}') --depth;
-    ASSERT_GE(depth, 0);
-  }
-  EXPECT_EQ(depth, 0);
-}
-
-TEST(TraceExport, CategoriesSeparateComputeFromCollectives) {
-  const PipelineSchedule s = with_gradient_sync(
-      build_schedule(Scheme::kDapple, {4, 8, 1, ScaleMethod::kDirect}),
-      SyncPolicy::kAtEnd);
-  const EngineResult r = run_engine(s, unit_costs(4));
-  const std::string json = chrome_trace_json(s, r);
+TEST(SimTrace, SpansCountedPerKind) {
+  const SimRun run = simulate(
+      Scheme::kDapple, {4, 8, 1, ScaleMethod::kDirect}, SyncPolicy::kAtEnd);
+  std::map<obs::EventKind, int> count;
+  for (const obs::TraceEvent& e : run.doc.events) ++count[e.kind];
   // 8 micro-batches × 4 stages forwards, same backwards.
-  EXPECT_EQ(count_occurrences(json, "\"cat\":\"forward\""), 32u);
-  EXPECT_EQ(count_occurrences(json, "\"cat\":\"backward\""), 32u);
+  EXPECT_EQ(count[obs::EventKind::kForward], 32);
+  EXPECT_EQ(count[obs::EventKind::kBackward], 32);
   // DAPPLE hosts one stage per worker: Begin+Wait per worker.
-  EXPECT_EQ(count_occurrences(json, "\"cat\":\"allreduce\""), 8u);
+  EXPECT_EQ(count[obs::EventKind::kAllReduceBegin], 4);
+  EXPECT_EQ(count[obs::EventKind::kAllReduceWait], 4);
 }
 
-TEST(TraceExport, WritesFileRoundTrip) {
-  const PipelineSchedule s =
-      build_schedule(Scheme::kGPipe, {2, 2, 1, ScaleMethod::kDirect});
-  const EngineResult r = run_engine(s, unit_costs(2));
-  const std::string path = "/tmp/chimera_trace_test.json";
-  write_chrome_trace(path, s, r);
+TEST(SimTrace, StrictRoundTripAndFileWrite) {
+  const SimRun run = simulate(
+      Scheme::kGPipe, {2, 2, 1, ScaleMethod::kDirect}, SyncPolicy::kAtEnd);
+  const std::string json = obs::trace_doc_to_json(run.doc);
+  EXPECT_EQ(obs::trace_from_json(json), run.doc);
+  EXPECT_EQ(obs::trace_doc_to_json(obs::trace_from_json(json)), json);
+
+  const std::string path =
+      ::testing::TempDir() + "chimera_trace_test.trace.json";
+  ASSERT_TRUE(obs::write_trace(path, run.doc));
   std::ifstream f(path);
   ASSERT_TRUE(f.good());
-  std::string content((std::istreambuf_iterator<char>(f)),
-                      std::istreambuf_iterator<char>());
-  EXPECT_EQ(content, chrome_trace_json(s, r));
+  const std::string content((std::istreambuf_iterator<char>(f)),
+                            std::istreambuf_iterator<char>());
+  EXPECT_EQ(content, json);
   std::remove(path.c_str());
+}
+
+TEST(SimTrace, TraceReportReadsTheSimulatedBubble) {
+  const SimRun run = simulate(
+      Scheme::kChimera, {4, 4, 1, ScaleMethod::kDirect}, SyncPolicy::kEagerOpt);
+  ASSERT_TRUE(run.schedule.synchronous);
+  EXPECT_TRUE(obs::check_trace(run.doc).empty());
+  const obs::TraceReport rep = obs::analyze_trace(run.doc);
+  EXPECT_EQ(rep.iterations, 1);
+  const double want = run.result.bubble_ratio();
+  ASSERT_GT(want, 0.0);
+  EXPECT_LE(std::abs(rep.measured_bubble_ratio - want), 1e-12 * want);
 }
 
 }  // namespace

@@ -195,6 +195,33 @@ TEST(PlanJson, RejectsMalformedInput) {
   EXPECT_THROW(plan_from_json(valid + "x"), CheckError);  // trailing garbage
 }
 
+TEST(PlanJson, RejectsIntegersThatDoNotFitTheirField) {
+  const std::string valid = plan_to_json(ExecutionPlan(
+      build_schedule(Scheme::kChimera, {4, 4, 1, ScaleMethod::kDirect})));
+  auto with_depth = [&valid](const std::string& depth) {
+    std::string json = valid;
+    const std::string key = "\"depth\":4,";
+    json.replace(json.find(key), key.size(), "\"depth\":" + depth + ",");
+    return json;
+  };
+  EXPECT_NO_THROW(plan_from_json(with_depth("4")));
+  // 2^32 + 4 once narrowed to a clean D=4 plan.
+  EXPECT_THROW(plan_from_json(with_depth("4294967300")), CheckError);
+  // Beyond int64 once escaped as std::out_of_range and aborted verify_plan.
+  EXPECT_THROW(plan_from_json(with_depth("99999999999999999999")), CheckError);
+  const Diagnostics diags = verify_json(with_depth("99999999999999999999"));
+  ASSERT_EQ(diags.size(), 1u);
+  EXPECT_EQ(diags[0].check, check::kStructure);
+}
+
+TEST(PlanJson, SchemeWithQuotesAndControlsRoundTrips) {
+  PlanDoc doc = training_doc(Scheme::kChimera, 4, 4);
+  doc.scheme = "Chi\"mera\\\n\x01";
+  const std::string json = plan_doc_to_json(doc);
+  EXPECT_TRUE(plan_from_json(json) == doc);
+  EXPECT_EQ(plan_doc_to_json(plan_from_json(json)), json);
+}
+
 // ---- every mutation class is caught --------------------------------------
 
 TEST(Mutations, EveryClassCaughtOnTrainingPlan) {

@@ -7,6 +7,8 @@
 // Exit status: 0 when the plan is certified (or the export succeeded),
 // 1 when diagnostics were found, 2 on usage / IO errors. The two modes
 // compose: `verify_plan --export chimera 4 8 | verify_plan -`.
+#include <charconv>
+#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -42,14 +44,21 @@ bool parse_scheme(const std::string& name, chimera::Scheme& out) {
   return true;
 }
 
+/// A whole-argument decimal int; false on garbage or out-of-range values.
+bool parse_int(const char* arg, int& out) {
+  const char* end = arg + std::strlen(arg);
+  const auto [last, ec] = std::from_chars(arg, end, out);
+  return ec == std::errc() && last == end;
+}
+
 int run_export(int argc, char** argv) {
   if (argc < 5 || argc > 6) return usage();
   chimera::Scheme scheme;
   if (!parse_scheme(argv[2], scheme)) return usage();
   chimera::ScheduleConfig cfg;
-  cfg.depth = std::stoi(argv[3]);
-  cfg.num_micro = std::stoi(argv[4]);
-  if (argc == 6) cfg.pipes_f = std::stoi(argv[5]);
+  if (!parse_int(argv[3], cfg.depth) || !parse_int(argv[4], cfg.num_micro) ||
+      (argc == 6 && !parse_int(argv[5], cfg.pipes_f)))
+    return usage();
   try {
     chimera::PipelineSchedule schedule = chimera::build_schedule(scheme, cfg);
     schedule = chimera::with_gradient_sync(schedule,
